@@ -24,7 +24,7 @@ from peakedqc.noise import (
     plan_samples,
     planted_sampleset,
 )
-from peakedqc.sim import SampleSet, index_bits
+from peakedqc.sim import SampleSet
 
 n, p_max = 16, 0.5
 x_star = "1010110010111101"
@@ -52,8 +52,8 @@ print("\ncluster decoding with the peak string unknown (60% planted, t=2):")
 plan_c = plan_samples("center", n=n, p_max=0.6, t=2, eta=0.1)
 rng = np.random.default_rng(2)
 planted = apply_noise(SampleSet(n, [x_star] * int(0.6 * plan_c.n_samples)), TSparse(2), seed=3)
-background = [index_bits(int(i), n) for i in rng.integers(0, 1 << n, plan_c.n_samples - len(planted.shots))]
-mixed = SampleSet(n, planted.shots + background)
+background = rng.integers(0, 1 << n, plan_c.n_samples - planted.indices.size).astype(np.uint64)
+mixed = SampleSet(n, np.concatenate([planted.indices, background]))
 decoded, core = hamming_center_decode(mixed, 2)
 print(f"  N = {plan_c.n_samples}: decoded {decoded!r} "
       f"({'correct' if decoded == x_star else 'wrong'}, core {core})")

@@ -10,7 +10,7 @@ be mistaken for a probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
@@ -65,14 +65,7 @@ class BoundConstants:
     kappa: float = 1.0
     c_delta: float = 1.0
     alpha_lb: float = 1.0
-    c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
     c4: float = 1.0
-    c_tail: float = 1.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

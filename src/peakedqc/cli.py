@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .ensembles import (
 )
 from .sim import (
     SampleSet,
+    StructureError,
     as_rng,
     circuit_from_json,
     circuit_to_json,
@@ -48,7 +50,7 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=1))
+    write_atomic(path, json.dumps(obj))
 
 
 def read_json(path: str):
@@ -225,9 +227,13 @@ def load_shots(path: str) -> SampleSet:
         text = fh.read().strip()
     if text.startswith("{"):
         obj = json.loads(text)
-        return SampleSet(obj["n"], obj["shots"], obj.get("meta", {}))
-    shots = text.split()
-    return SampleSet(len(shots[0]), shots, {})
+        n, shots, meta = obj["n"], obj["shots"], obj.get("meta", {})
+    else:
+        shots, meta = text.split(), {}
+        n = len(shots[0]) if shots else 0
+    if not shots:
+        raise StructureError(f"{path} holds no shots")
+    return SampleSet(n, shots, meta)
 
 
 def cmd_verify(args) -> int:
@@ -237,11 +243,13 @@ def cmd_verify(args) -> int:
     claimed = private["peakedness"]
     n = private["n"]
 
-    t = args.t
+    t, expected = args.t, claimed
     if args.noise and args.noise.startswith("bsc"):
         r = float(args.noise.split(":")[1])
         plan = noise_mod.plan_samples("majority", n=n, p_max=max(claimed, 1e-6), r=r, eta=0.1)
         t = plan.hba_radius if t is None else t
+        # the share of the peak's weight that BSC(r) keeps within radius t
+        expected *= sum(math.comb(n, k) * r**k * (1.0 - r) ** (n - k) for k in range(t + 1))
     t = 0 if t is None else t
 
     if args.decoder == "majority":
@@ -251,15 +259,17 @@ def cmd_verify(args) -> int:
     else:
         decoded = x_star  # hba estimates around the known witness
     report = noise_mod.hba_estimate(samples, decoded, t)
-    estimate = report.estimate
+    estimate, se_scale = report.estimate, 1.0
 
     if args.depol:
-        estimate = noise_mod.debias_depolarizing(estimate, args.depol, n).estimate
+        estimate, se_scale, _ = noise_mod.debias_depolarizing(estimate, args.depol, n)
 
     salt = bytes.fromhex(private["salt"])
     commitment_ok = commitment_digest(decoded, salt) == private["commitment"]
-    tolerance = args.tolerance if args.tolerance is not None else max(3 * report.std_err + report.bias_bound, 1e-3)
-    weight_ok = abs(estimate - claimed) <= tolerance
+    tolerance = args.tolerance
+    if tolerance is None:
+        tolerance = max(3 * report.std_err * se_scale + report.bias_bound, 1e-3)
+    weight_ok = abs(estimate - expected) <= tolerance
 
     verdict = {
         "accept": bool(commitment_ok and weight_ok),
@@ -267,6 +277,7 @@ def cmd_verify(args) -> int:
         "commitment_matches": bool(commitment_ok),
         "estimate": estimate,
         "claimed": claimed,
+        "expected": expected,
         "tolerance": tolerance,
         "decoder": args.decoder,
         "hba_radius": t,
@@ -446,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--noise", default=None, help="assumed channel, e.g. bsc:0.05")
     v.add_argument("--depol", type=float, default=None, help="de-bias strength eps")
     v.add_argument("--tolerance", type=float, default=None)
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
@@ -475,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default="0.0,0.001,0.01,0.1,1.0")
     p.add_argument("--K", type=int, default=None, help="also tabulate the order-K truncation")
     p.add_argument("--x-star", dest="x_star", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_perturb)
 
@@ -487,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--s", type=int, default=10)
     b.add_argument("--delta", type=float, default=0.5)
     b.add_argument("--eps", type=float, default=0.1)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", default=None)
-    b.add_argument("--json", action="store_true")
     b.set_defaults(func=cmd_bounds)
 
     return ap
@@ -497,7 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except StructureError as exc:  # malformed input files: one line, exit code 2
+        print(f"peakedqc: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim import SampleSet, as_rng, bit_index, index_bits
+from .sim import SampleSet, as_rng, bit_index, pack_bits, unpack_bits
 
 # Calibrated on the reference scenario by bisection to the smallest value
 # meeting the 1-eta success target, then rounded up (see tests).
@@ -89,48 +89,42 @@ def noise_tag(model: NoiseModel) -> str:
     return f"depol:{model.eps}"
 
 
-def _to_bits(samples: SampleSet) -> np.ndarray:
-    return np.array([[int(ch) for ch in s] for s in samples.shots], dtype=np.uint8)
-
-
-def _to_strings(bits: np.ndarray) -> list[str]:
-    return ["".join("1" if b else "0" for b in row) for row in bits]
-
-
 def apply_noise(samples: SampleSet, model: NoiseModel, seed=None) -> SampleSet:
-    """Push a sample set through a noise channel; deterministic given seed."""
+    """Push a sample set through a noise channel; deterministic given seed.
+
+    Flip masks are drawn as one 0/1 row per shot and XORed into the indices.
+    """
     rng = as_rng(seed)
-    bits = _to_bits(samples)
-    n_shots, n = bits.shape
+    idx = samples.indices.copy()
+    n_shots, n = idx.size, samples.n
 
     if isinstance(model, BSC):
         if model.r > 0:
-            bits ^= (rng.random(bits.shape) < model.r).astype(np.uint8)
+            idx ^= pack_bits(rng.random((n_shots, n)) < model.r)
     elif isinstance(model, GlobalDepolarizing):
         if model.eps > 0:
             replace = rng.random(n_shots) < model.eps
-            bits[replace] = rng.integers(0, 2, size=(int(replace.sum()), n), dtype=np.uint8)
+            idx[replace] = pack_bits(rng.integers(0, 2, size=(int(replace.sum()), n), dtype=np.uint8))
     elif isinstance(model, TSparse):
         if model.t > 0:
             if model.policy == "random-subset":
                 counts = rng.integers(0, model.t + 1, size=n_shots)
-                ranks = rng.random(bits.shape).argsort(axis=1).argsort(axis=1)
-                bits ^= (ranks < counts[:, None]).astype(np.uint8)
+                ranks = rng.random((n_shots, n)).argsort(axis=1).argsort(axis=1)
+                idx ^= pack_bits(ranks < counts[:, None])
             else:
-                target = np.array([int(ch) for ch in model.target], dtype=np.uint8)
-                diff = bits != target
+                diff = unpack_bits(idx ^ np.uint64(bit_index(model.target, n)), n)
                 dist = diff.sum(axis=1)
                 movable = (dist > model.t) & (dist <= 2 * model.t)
                 surplus = np.where(movable, dist - model.t, 0)
                 order = np.cumsum(diff, axis=1)
-                bits ^= (diff & (order <= surplus[:, None])).astype(np.uint8)
+                idx ^= pack_bits(diff & (order <= surplus[:, None]))
     else:
         raise TypeError(f"unknown noise model {model!r}")
 
     meta = dict(samples.meta)
     meta["noise"] = noise_tag(model)
     meta["noise_seed"] = seed
-    return SampleSet(samples.n, _to_strings(bits), meta)
+    return SampleSet(samples.n, idx, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +139,7 @@ def hamming_ball_size(n: int, t: int) -> int:
 
 
 def hamming_distances(samples: SampleSet, reference: str) -> np.ndarray:
-    ref = np.array([int(ch) for ch in reference], dtype=np.uint8)
-    return (_to_bits(samples) != ref).sum(axis=1)
+    return np.bitwise_count(samples.indices ^ np.uint64(bit_index(reference, samples.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def hba_estimate(samples: SampleSet, x_star: str, t: int, background_weight: flo
         raise ValueError("radius must lie in [0, n]")
     hits = hamming_distances(samples, x_star) <= t
     est = float(hits.mean())
-    n_shots = len(samples.shots)
+    n_shots = samples.indices.size
     se = math.sqrt(max(est * (1.0 - est), 0.0) / n_shots)
     b = 2.0**-n if background_weight is None else background_weight
     return EstimateReport(
@@ -189,38 +182,35 @@ def hba_estimate(samples: SampleSet, x_star: str, t: int, background_weight: flo
 def hamming_center_decode(samples: SampleSet, t: int) -> tuple[str, int]:
     """Densest-2t-ball center, then bitwise majority over the ball core.
 
-    Cluster size ties break to the lexicographically smallest shot; bit
-    ties inside the core resolve to 0.
+    Works on the distinct shots weighted by their counts.  Cluster size
+    ties break to the lexicographically smallest shot, which with wire 0 as
+    the most significant bit is the smallest index; bit ties inside the
+    core resolve to 0.
     """
-    bits = _to_bits(samples)
-    n_shots = bits.shape[0]
-    if n_shots < 1:
+    if samples.indices.size < 1:
         raise ValueError("need at least one shot")
+    values, weights = np.unique(samples.indices, return_counts=True)
     radius = 2 * t
-    counts = np.empty(n_shots, dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, bits.shape[1] * n_shots))
-    for lo in range(0, n_shots, chunk):
-        block = bits[lo : lo + chunk]
-        dist = (block[:, None, :] != bits[None, :, :]).sum(axis=2)
-        counts[lo : lo + chunk] = (dist <= radius).sum(axis=1)
-    best = counts.max()
-    candidates = np.flatnonzero(counts == best)
-    center = min(samples.shots[i] for i in candidates)
-    center_bits = np.array([int(ch) for ch in center], dtype=np.uint8)
-    core = (bits != center_bits).sum(axis=1) <= radius
-    core_size = int(core.sum())
-    ones = bits[core].sum(axis=0)
+    density = np.empty(values.size, dtype=np.int64)
+    chunk = max(1, (1 << 20) // values.size)
+    for lo in range(0, values.size, chunk):
+        near = np.bitwise_count(values[lo : lo + chunk, None] ^ values) <= radius
+        density[lo : lo + chunk] = near @ weights
+    center = values[density.argmax()]  # values are sorted: the first maximum is the smallest
+    core = np.bitwise_count(values ^ center) <= radius
+    core_size = int(weights[core].sum())
+    ones = weights[core] @ unpack_bits(values[core], samples.n)
     decoded = "".join("1" if 2 * c > core_size else "0" for c in ones)
     return decoded, core_size
 
 
 def majority_decode(samples: SampleSet) -> str:
     """Per-bit threshold at 1/2; an exact tie decodes to 1."""
-    bits = _to_bits(samples)
-    if bits.shape[0] < 1:
+    n_shots = samples.indices.size
+    if n_shots < 1:
         raise ValueError("need at least one shot")
-    means = bits.mean(axis=0)
-    return "".join("1" if m >= 0.5 else "0" for m in means)
+    ones = unpack_bits(samples.indices, samples.n).sum(axis=0)
+    return "".join("1" if 2 * c >= n_shots else "0" for c in ones)
 
 
 class DebiasResult(NamedTuple):
@@ -311,7 +301,7 @@ def planted_sampleset(n: int, p_max: float, x_star: str, shots: int, seed=None) 
     other = rng.integers(0, d - 1, size=shots)
     other = np.where(other >= ix, other + 1, other)  # uniform over the non-peak strings
     idx = np.where(is_peak, ix, other)
-    return SampleSet(n, [index_bits(int(i), n) for i in idx],
+    return SampleSet(n, idx,
                      {"instance_id": "planted", "noise": None, "seed": seed,
                       "p_max": p_max, "x_star": x_star})
 

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * Wire 0 is the most significant bit of an outcome string, so the basis
   state ``|b_0 b_1 ... b_{n-1}>`` sits at index ``int(b, 2)`` of the
   amplitude vector.
-* Bit strings are plain Python strings of ``'0'``/``'1'`` characters.
+* Bit strings are plain Python strings of ``'0'``/``'1'`` characters;
+  shot data is held as ``uint64`` indices and only rendered as strings.
 * Gates carry explicit ``2^k x 2^k`` matrices for ``k`` wires.  Two-qubit
   gates may instead carry 15 real coefficients for the fixed Pauli-product
   generator basis (see :func:`su4_gate`); the matrix is materialized at
@@ -187,16 +188,30 @@ class StateVector:
 
 @dataclass(eq=False)
 class SampleSet:
-    """A multiset of n-bit outcome strings with provenance metadata."""
+    """n-bit outcomes (n <= 63) as ``uint64`` basis indices; ``shots`` renders
+    them as strings.  Bit strings passed as ``indices`` are parsed once here."""
 
     n: int
-    shots: list[str]
+    indices: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for s in self.shots:
-            if len(s) != self.n or set(s) - {"0", "1"}:
-                raise StructureError(f"shot {s!r} is not an {self.n}-bit string")
+        if not 1 <= self.n <= 63:
+            raise StructureError(f"shots on {self.n} wires: 1 to 63 are supported")
+        idx = np.asarray(self.indices)
+        if idx.dtype.kind not in "ui":  # bit strings, checked and packed in one pass
+            strings = idx.astype(str).ravel()
+            codes = strings.astype(f"U{self.n}").view(np.uint32).reshape(-1, self.n) - np.uint32(ord("0"))
+            bad = (np.char.str_len(strings) != self.n) | (codes > 1).any(axis=1)
+            if bad.any():
+                raise StructureError(f"shot {strings[bad.argmax()]!r} is not an {self.n}-bit string")
+            idx = pack_bits(codes)
+        self.indices = idx.astype(np.uint64, copy=False)
+
+    @property
+    def shots(self) -> list[str]:
+        codes = unpack_bits(self.indices, self.n).astype(np.uint32) + ord("0")
+        return codes.view(f"U{self.n}").ravel().tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +228,16 @@ def bit_index(bits: str, n: int | None = None) -> int:
 
 def index_bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of 0/1 entries, wire 0 first, to ``uint64`` basis indices."""
+    return bits.astype(np.uint64) @ (np.uint64(1) << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.uint64))
+
+
+def unpack_bits(indices: np.ndarray, n: int) -> np.ndarray:
+    """``uint64`` basis indices to rows of n 0/1 ``uint8`` entries, wire 0 first."""
+    return ((indices[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint64)) & np.uint64(1)).astype(np.uint8)
 
 
 def x_layer_gates(mask_bits: str) -> list[Gate]:
@@ -277,11 +302,10 @@ def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | N
     p = np.clip(p, 0.0, None)
     p /= p.sum()
     idx = rng.choice(p.size, size=shots, p=p)
-    strings = [index_bits(int(i), circuit.n) for i in idx]
     info = {"instance_id": None, "noise": None, "seed": seed}
     if meta:
         info.update(meta)
-    return SampleSet(circuit.n, strings, info)
+    return SampleSet(circuit.n, idx, info)
 
 
 def full_unitary(circuit: Circuit, n_max_dense: int = N_MAX_DENSE) -> np.ndarray:

@@ -214,28 +214,8 @@ class RewriteResult(NamedTuple):
 
 def _embed(matrix: np.ndarray, small: tuple[int, ...], big: tuple[int, ...]) -> np.ndarray:
     """Lift a gate matrix on wires ``small`` to the wire tuple ``big``."""
-    pos = [big.index(w) for w in small]
-    k = len(big)
-    full = np.eye(1 << k, dtype=complex).reshape((2,) * (2 * k))
-    # build I (x) matrix with matrix's axes at the embedded positions
-    m = matrix.reshape((2,) * (2 * len(small)))
-    out_axes = pos + [k + p for p in pos]
-    ident_axes = [a for a in range(k) if a not in pos]
-    tensor = m
-    for _ in ident_axes:
-        tensor = np.tensordot(tensor, np.eye(2).reshape(2, 2), axes=0)
-    # tensor axes: small outs, small ins, then (out,in) pairs per identity wire
-    axes_order = []
-    src_out = list(range(len(small)))
-    src_in = [len(small) + i for i in range(len(small))]
-    extra = 2 * len(small)
-    id_out = [extra + 2 * i for i in range(len(ident_axes))]
-    id_in = [extra + 2 * i + 1 for i in range(len(ident_axes))]
-    for w in range(k):
-        axes_order.append(src_out[pos.index(w)] if w in pos else id_out[ident_axes.index(w)])
-    for w in range(k):
-        axes_order.append(src_in[pos.index(w)] if w in pos else id_in[ident_axes.index(w)])
-    return tensor.transpose(axes_order).reshape(1 << k, 1 << k)
+    local = Gate(tuple(big.index(w) for w in small), matrix, unitary=False)
+    return full_unitary(Circuit(len(big), [local]), n_max_dense=len(big))
 
 
 def _mergeable(target: Gate, other: Gate) -> bool:

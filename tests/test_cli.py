@@ -4,6 +4,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from peakedqc.cli import (
     Challenge,
     commitment_digest,
@@ -222,3 +223,67 @@ def test_commitment_binding():
     assert digest == commitment_digest("0101", salt)
     assert digest != commitment_digest("0100", salt)
     assert digest != commitment_digest("0101", b"x" * 16)
+
+
+def test_verify_bsc_default_tolerance(tmp_path):
+    # honest BSC shots: the estimate is compared with claimed * Pr[Binomial(n, r) <= t]
+    pub_path, priv_path = gen_conditioned(tmp_path, n=9, delta=0.999, seed=80)
+    shots_path = tmp_path / "bsc.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 8000,
+                   "--noise", "bsc:0.05", "--seed", 81, "--out", shots_path) == 0
+    for decoder in ("majority", "center", "hba"):
+        out = tmp_path / f"{decoder}.json"
+        rc = run_cli("verify", "--private", priv_path, "--shots", shots_path,
+                     "--decoder", decoder, "--noise", "bsc:0.05", "--out", out)
+        verdict = read_json(out)
+        assert rc == 0, verdict
+        assert verdict["expected"] < verdict["claimed"]
+    rng = np.random.default_rng(82)
+    uniform_path = tmp_path / "uniform.txt"
+    uniform_path.write_text("\n".join(format(x, "09b") for x in rng.integers(0, 512, 8000)) + "\n")
+    for decoder in ("majority", "center", "hba"):
+        rc = run_cli("verify", "--private", priv_path, "--shots", uniform_path,
+                     "--decoder", decoder, "--noise", "bsc:0.05")
+        assert rc == 1
+
+
+def test_verify_depol_false_reject_rate(tmp_path):
+    # honest planted shots through depol:0.7; the 3-SE term must carry the
+    # 1/(1-eps) inflation of the de-biased estimate
+    n, p_max, shots, eps, runs = 6, 0.9, 5000, 0.7, 300
+    x_star = "101101"
+    salt = b"0123456789abcdef"
+    priv_path = tmp_path / "planted.private.json"
+    priv_path.write_text(json.dumps({
+        "n": n, "peak_string": x_star, "peakedness": p_max, "salt": salt.hex(),
+        "commitment": commitment_digest(x_star, salt),
+    }))
+    shots_path = tmp_path / "shots.txt"
+    rejects = 0
+    for k in range(runs):
+        s = noise.apply_noise(noise.planted_sampleset(n, p_max, x_star, shots, seed=1000 + k),
+                              noise.GlobalDepolarizing(eps), seed=2000 + k)
+        shots_path.write_text("\n".join(s.shots) + "\n")
+        rejects += run_cli("verify", "--private", priv_path, "--shots", shots_path,
+                           "--decoder", "hba", "--depol", eps) != 0
+    assert rejects / runs <= 0.02
+
+
+@pytest.mark.parametrize("name, text", [("empty.txt", "\n"), ("empty.json", '{"n": 4, "shots": []}')])
+def test_verify_empty_shots_file(tmp_path, capsys, name, text):
+    _, priv_path = gen_conditioned(tmp_path, n=4, seed=83)
+    shots_path = tmp_path / name
+    shots_path.write_text(text)
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
+
+
+def test_verify_ragged_shots_file(tmp_path, capsys):
+    _, priv_path = gen_conditioned(tmp_path, n=4, seed=84)
+    shots_path = tmp_path / "ragged.txt"
+    shots_path.write_text("0101\n011\n1100\n")
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
+    assert "'011'" in err

@@ -236,3 +236,49 @@ def test_noise_determinism():
     b = apply_noise(s, BSC(0.1), seed=14)
     assert a.shots == b.shots
     assert a.meta["noise"] == "bsc:0.1"
+
+
+def _bit_rows(shots):
+    return np.array([[int(ch) for ch in s] for s in shots], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("model", [BSC(0.2), GlobalDepolarizing(0.4), TSparse(3)])
+def test_channels_match_bit_matrix_reference(model):
+    # reference: the same draws applied to a 0/1 matrix, one row per shot
+    s = planted_sampleset(10, 0.5, "1100110011", 400, seed=21)
+    bits = _bit_rows(s.shots)
+    rng = as_rng(22)
+    if isinstance(model, BSC):
+        bits ^= (rng.random(bits.shape) < model.r).astype(np.uint8)
+    elif isinstance(model, GlobalDepolarizing):
+        replace = rng.random(len(bits)) < model.eps
+        bits[replace] = rng.integers(0, 2, size=(int(replace.sum()), 10), dtype=np.uint8)
+    else:
+        counts = rng.integers(0, model.t + 1, size=len(bits))
+        ranks = rng.random(bits.shape).argsort(axis=1).argsort(axis=1)
+        bits ^= (ranks < counts[:, None]).astype(np.uint8)
+    expected = ["".join(map(str, row)) for row in bits]
+    assert apply_noise(s, model, seed=22).shots == expected
+
+
+def _center_reference(shots, t):
+    # the all-pairs definition over every shot
+    def dist(a, b):
+        return sum(x != y for x, y in zip(a, b))
+    counts = [sum(dist(a, b) <= 2 * t for b in shots) for a in shots]
+    center = min(s for s, c in zip(shots, counts) if c == max(counts))
+    core = [s for s in shots if dist(s, center) <= 2 * t]
+    ones = _bit_rows(core).sum(axis=0)
+    return "".join("1" if 2 * c > len(core) else "0" for c in ones), len(core)
+
+
+@pytest.mark.parametrize("seed, t", [(31, 1), (32, 2), (33, 1)])
+def test_center_and_majority_match_per_shot_reference(seed, t):
+    n = 8
+    rng = as_rng(seed)
+    planted = apply_noise(SampleSet(n, ["10110010"] * 60 + ["01001101"] * 60), TSparse(t), seed=rng)
+    uniform = [index_bits(int(i), n) for i in rng.integers(0, 1 << n, size=120)]
+    s = SampleSet(n, planted.shots + uniform)
+    assert hamming_center_decode(s, t) == _center_reference(s.shots, t)
+    means = _bit_rows(s.shots).mean(axis=0)
+    assert majority_decode(s) == "".join("1" if m >= 0.5 else "0" for m in means)

@@ -217,3 +217,21 @@ def test_su4_gate_unitary_and_identity():
     assert np.allclose(g, np.eye(4))
     g = sim.su4_gate(np.linspace(-1, 1, 15))
     assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-12
+
+
+def test_sampleset_holds_indices():
+    s = sim.SampleSet(3, ["101", "000", "111"])
+    assert s.indices.dtype == np.uint64
+    assert s.indices.tolist() == [5, 0, 7]
+    back = sim.SampleSet(3, np.array([5, 0, 7]))
+    assert back.shots == ["101", "000", "111"]
+    wide = "1" + "0" * 61 + "1"
+    assert sim.SampleSet(63, [wide]).indices.tolist() == [int(wide, 2)]
+    assert sim.SampleSet(63, [wide]).shots == [wide]
+    assert sim.SampleSet(4, []).shots == []
+
+
+@pytest.mark.parametrize("n, shots", [(64, ["0" * 64]), (3, ["101", "10"]), (3, ["1010"]), (3, ["1a1"])])
+def test_sampleset_rejects_malformed(n, shots):
+    with pytest.raises(sim.StructureError):
+        sim.SampleSet(n, shots)
