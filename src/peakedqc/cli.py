@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -249,7 +248,7 @@ def cmd_verify(args) -> int:
         plan = noise_mod.plan_samples("majority", n=n, p_max=max(claimed, 1e-6), r=r, eta=0.1)
         t = plan.hba_radius if t is None else t
         # the share of the peak's weight that BSC(r) keeps within radius t
-        expected *= sum(math.comb(n, k) * r**k * (1.0 - r) ** (n - k) for k in range(t + 1))
+        expected *= noise_mod._landing_prob_bsc(n, 0, r, t)
     t = 0 if t is None else t
 
     if args.decoder == "majority":

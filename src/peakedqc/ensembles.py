@@ -104,16 +104,11 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return _haar_batch(dim, 1, as_rng(seed))[0]
-
-
-def _haar_batch(dim: int, count: int, rng) -> np.ndarray:
-    """``count`` Haar unitaries from one stacked QR; same draws as ``count`` calls."""
-    z = rng.standard_normal((count, 2, dim, dim))
-    z = z[:, 0] + 1j * z[:, 1]  # drop the real draws before the QR workspace
+    rng = as_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def haar_state(dim: int, seed=None) -> np.ndarray:
@@ -124,9 +119,13 @@ def haar_state(dim: int, seed=None) -> np.ndarray:
 
 def random_brickwall(n: int, depth: int, seed=None) -> Circuit:
     """Brickwall circuit with an independent Haar two-qubit gate per slot."""
-    pairs = [pair for layer in brickwall_layers(n, depth) for pair in layer]
-    mats = _haar_batch(4, len(pairs), as_rng(seed))
-    return Circuit(n, [Gate(p, m) for p, m in zip(pairs, mats)], architecture=Brickwall(depth))
+    rng = as_rng(seed)
+    gates = [
+        Gate(pair, haar_unitary(4, rng))
+        for layer in brickwall_layers(n, depth)
+        for pair in layer
+    ]
+    return Circuit(n, gates, architecture=Brickwall(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def hs_overlap(c: Circuit, c_prime: Circuit, n_max_dense: int = N_MAX_DENSE) -> 
         raise StructureError("circuits act on different wire counts")
     u = full_unitary(c, n_max_dense)
     u_prime = full_unitary(c_prime, n_max_dense)
-    tr = np.vdot(u, u_prime)  # Tr(U^dag U') without the matrix product
+    tr = np.trace(u.conj().T @ u_prime)
     d = 1 << c.n
     trace_sq = float(abs(tr) ** 2)
     return trace_sq, trace_sq / d**2

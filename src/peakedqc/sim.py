@@ -206,6 +206,8 @@ class SampleSet:
             if bad.any():
                 raise StructureError(f"shot {strings[bad.argmax()]!r} is not an {self.n}-bit string")
             idx = pack_bits(codes)
+        elif (idx < 0).any() or (idx.astype(np.uint64) >> np.uint64(self.n)).any():
+            raise StructureError(f"shot indices must lie in [0, 2^{self.n})")
         self.indices = idx.astype(np.uint64, copy=False)
 
     @property
@@ -259,15 +261,9 @@ def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray
     wire (extra trailing axes, e.g. a column batch, ride along).
     """
     k = len(wires)
-    if wires == tuple(range(wires[0], wires[0] + k)):
-        # ascending adjacent wires are the middle axis of a reshape; the stacked
-        # matmul runs one GEMM per leading index, so take it if those are few or long
-        view = tensor.reshape(1 << wires[0], 1 << k, -1)
-        if view.shape[0] <= 4 or view.shape[2] >= 64:
-            view[...] = matrix @ view
-            return
     moved = np.moveaxis(tensor, wires, range(k))
-    moved[...] = (matrix @ moved.reshape(1 << k, -1)).reshape(moved.shape)
+    flat = moved.reshape(1 << k, -1)
+    moved[...] = (matrix @ flat).reshape(moved.shape)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import PeakedInstance, _haar_batch, haar_unitary
+from .ensembles import PeakedInstance, haar_unitary
 from .sim import (
     N_MAX_DENSE,
     Circuit,
@@ -189,8 +189,8 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
     for trial in range(trials):
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
-        for x in _haar_batch(d - 1, L, rng):
-            psi[1:] = x @ psi[1:]
+        for _ in range(L):
+            psi[1:] = haar_unitary(d - 1, rng) @ psi[1:]
             top, second = psi[0], psi[1]
             psi[0] = c * top - s * second
             psi[1] = s * top + c * second

@@ -23,6 +23,7 @@ from .sim import (
     SU4_BASIS,
     StateVector,
     StructureError,
+    _apply_matrix,
     adjoint,
     amplitude,
     apply_circuit,
@@ -75,32 +76,34 @@ def _su4_batch(params: np.ndarray):
     return mats, w, q
 
 
-def _gradient_contract(envs: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``sum_pq env[g,p,q] dU_g[p,q]`` along each generator, all gates at once.
+def _gate_derivatives_batch(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Directional derivatives of exp(-iH) along each generator, all gates.
 
     Daleckii-Krein: with H = Q diag(w) Q^dag and f(x) = exp(-ix), the
     derivative along E is Q (F * (Q^dag E Q)) Q^dag where
-    F_kl = (f(w_k) - f(w_l)) / (w_k - w_l), diagonal f'(w_k).  Moving the Q
-    factors onto env leaves sum_ij E[i,j] T[i,j], T = conj(Q) (F * (Q^T env conj(Q))) Q^T.
-    Shapes: envs (G, 4, 4), w (G, 4), q (G, 4, 4); returns (G, 15).
+    F_kl = (f(w_k) - f(w_l)) / (w_k - w_l), diagonal f'(w_k).
+    Shapes: w (G, 4), q (G, 4, 4); returns (G, 15, 4, 4).
     """
     f = np.exp(-1j * w)
     dw = w[..., :, None] - w[..., None, :]
     near = np.abs(dw) < 1e-12
     fmat = (f[..., :, None] - f[..., None, :]) / np.where(near, 1.0, dw)
-    fmat = np.where(near, (-1j * f)[..., :, None], fmat)
-    qt = q.transpose(0, 2, 1)
-    t = q.conj() @ (fmat * (qt @ envs @ q.conj())) @ qt
-    return t.reshape(-1, 16) @ SU4_BASIS.reshape(15, 16).T
+    diag_val = np.broadcast_to((-1j * f)[..., :, None], fmat.shape)
+    fmat = np.where(near, diag_val, fmat)
+    basis_rot = np.einsum("gki,mkl,glj->gmij", q.conj(), SU4_BASIS, q)
+    return np.einsum("gik,gmkl,gjl->gmij", q, fmat[:, None, :, :] * basis_rot, q.conj())
 
 
-def _pair_rows(psi: np.ndarray, pair) -> np.ndarray:
-    """The state as a 4 x 2^(n-2) matrix whose rows index an adjacent (brickwall) pair."""
-    return psi.reshape(1 << pair[0], 4, -1).transpose(1, 0, 2).reshape(4, -1)
-
-
-def _from_pair_rows(rows: np.ndarray, pair) -> np.ndarray:
-    return rows.reshape(4, 1 << pair[0], -1).transpose(1, 0, 2).reshape(-1)
+def _forward_states(start: np.ndarray, n: int, pairs, mats) -> list[np.ndarray]:
+    """All intermediate states of the ansatz pass, input state first."""
+    states = [start.copy()]
+    psi = start
+    shape = (2,) * n
+    for pair, mat in zip(pairs, mats):
+        psi = psi.copy()
+        _apply_matrix(psi.reshape(shape), pair, mat)
+        states.append(psi)
+    return states
 
 
 def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.ndarray):
@@ -111,22 +114,25 @@ def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.n
     adjoint gates, and each gate's 4x4 environment contracts against the
     exponential-map derivatives. p0 = |beta|^2, grad p0 = 2 Re(conj(beta) grad beta).
     """
+    n = pcirc.n
+    shape = (2,) * n
     mats, w, q = _su4_batch(pcirc.params)
-    states = [x_star_state]
-    for pair, mat in zip(pcirc.pairs, mats):
-        states.append(_from_pair_rows(mat @ _pair_rows(states[-1], pair), pair))
+    states = _forward_states(x_star_state, n, pcirc.pairs, mats)
     beta = np.vdot(c_state, states[-1])
 
-    envs = np.empty((len(pcirc.pairs), 4, 4), dtype=complex)
-    lam = c_state
-    for j in range(len(pcirc.pairs) - 1, -1, -1):
-        lam_rows = _pair_rows(lam, pcirc.pairs[j])
-        # env[p,q] = sum_rest conj(lam)[p] psi[q]
-        envs[j] = lam_rows.conj() @ _pair_rows(states[j], pcirc.pairs[j]).T
+    n_gates = len(pcirc.pairs)
+    envs = np.empty((n_gates, 4, 4), dtype=complex)
+    lam = c_state.copy()
+    for j in range(n_gates - 1, -1, -1):
+        pair = pcirc.pairs[j]
+        lam_view = np.moveaxis(lam.reshape(shape), pair, (0, 1)).reshape(4, -1)
+        psi_view = np.moveaxis(states[j].reshape(shape), pair, (0, 1)).reshape(4, -1)
+        envs[j] = lam_view.conj() @ psi_view.T  # env[p,q] = sum_rest conj(lam)[p] psi[q]
         # pull <c| back through gate j for the next environment
-        lam = _from_pair_rows(mats[j].conj().T @ lam_rows, pcirc.pairs[j])
-    grad = 2.0 * np.real(np.conj(beta) * _gradient_contract(envs, w, q))
-    return float(abs(beta) ** 2), grad
+        _apply_matrix(lam.reshape(shape), pair, mats[j].conj().T)
+    dmats = _gate_derivatives_batch(w, q)
+    grad = 2.0 * np.real(np.conj(beta) * np.einsum("gpq,gmpq->gm", envs, dmats))
+    return float(abs(beta) ** 2), grad, np.conj(beta)
 
 
 def _target_column(target: Circuit) -> np.ndarray:
@@ -146,7 +152,7 @@ def gradient(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) ->
     x_star = "0" * target.n if x_star is None else x_star
     c_state = _target_column(target)
     start = StateVector.basis(target.n, x_star).amps
-    _, grad = _value_and_grad(c_state, pcirc, start)
+    _, grad, _ = _value_and_grad(c_state, pcirc, start)
     return grad
 
 
@@ -246,7 +252,7 @@ def multistart_search(
         history = []
         steps_run = 0
         for t in range(iters + 1):
-            p0, grad = _value_and_grad(c_state, pcirc, start_state)
+            p0, grad, _ = _value_and_grad(c_state, pcirc, start_state)
             if t % history_stride == 0 or t == iters or p0 >= delta_target:
                 history.append((t, p0))
             if p0 > best_p0:

@@ -225,12 +225,24 @@ def test_commitment_binding():
     assert digest != commitment_digest("0101", b"x" * 16)
 
 
+def planted_private(tmp_path, n, x_star, p_max):
+    # a private file for a peak planted at x_star; verify reads only these fields
+    salt = b"0123456789abcdef"
+    path = tmp_path / "planted.private.json"
+    path.write_text(json.dumps({
+        "n": n, "peak_string": x_star, "peakedness": p_max, "salt": salt.hex(),
+        "commitment": commitment_digest(x_star, salt),
+    }))
+    return path
+
+
 def test_verify_bsc_default_tolerance(tmp_path):
     # honest BSC shots: the estimate is compared with claimed * Pr[Binomial(n, r) <= t]
-    pub_path, priv_path = gen_conditioned(tmp_path, n=9, delta=0.999, seed=80)
+    n, x_star = 9, "110010110"
+    priv_path = planted_private(tmp_path, n, x_star, 0.999)
+    s = noise.apply_noise(noise.planted_sampleset(n, 0.999, x_star, 8000, seed=80), noise.BSC(0.05), seed=81)
     shots_path = tmp_path / "bsc.txt"
-    assert run_cli("sample", "--challenge", pub_path, "--shots", 8000,
-                   "--noise", "bsc:0.05", "--seed", 81, "--out", shots_path) == 0
+    shots_path.write_text("\n".join(s.shots) + "\n")
     for decoder in ("majority", "center", "hba"):
         out = tmp_path / f"{decoder}.json"
         rc = run_cli("verify", "--private", priv_path, "--shots", shots_path,
@@ -252,12 +264,7 @@ def test_verify_depol_false_reject_rate(tmp_path):
     # 1/(1-eps) inflation of the de-biased estimate
     n, p_max, shots, eps, runs = 6, 0.9, 5000, 0.7, 300
     x_star = "101101"
-    salt = b"0123456789abcdef"
-    priv_path = tmp_path / "planted.private.json"
-    priv_path.write_text(json.dumps({
-        "n": n, "peak_string": x_star, "peakedness": p_max, "salt": salt.hex(),
-        "commitment": commitment_digest(x_star, salt),
-    }))
+    priv_path = planted_private(tmp_path, n, x_star, p_max)
     shots_path = tmp_path / "shots.txt"
     rejects = 0
     for k in range(runs):
@@ -287,3 +294,12 @@ def test_verify_ragged_shots_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("peakedqc: ") and err.count("\n") == 1
     assert "'011'" in err
+
+
+def test_verify_out_of_range_shot_indices(tmp_path, capsys):
+    _, priv_path = gen_conditioned(tmp_path, n=4, seed=85)
+    shots_path = tmp_path / "indices.json"
+    shots_path.write_text('{"n": 4, "shots": [3, -1, 999]}')
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1

@@ -231,7 +231,8 @@ def test_sampleset_holds_indices():
     assert sim.SampleSet(4, []).shots == []
 
 
-@pytest.mark.parametrize("n, shots", [(64, ["0" * 64]), (3, ["101", "10"]), (3, ["1010"]), (3, ["1a1"])])
+@pytest.mark.parametrize("n, shots", [(64, ["0" * 64]), (3, ["101", "10"]), (3, ["1010"]), (3, ["1a1"]),
+                                      (3, np.array([3, -1])), (3, np.array([8]))])
 def test_sampleset_rejects_malformed(n, shots):
     with pytest.raises(sim.StructureError):
         sim.SampleSet(n, shots)
