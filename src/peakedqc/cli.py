@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import secrets
 import sys
 from dataclasses import dataclass
 
@@ -122,6 +123,8 @@ def parse_noise(spec: str | None, target: str | None = None):
         return noise_mod.GlobalDepolarizing(float(parts[1]))
     if kind == "tsparse":
         policy = parts[2] if len(parts) > 2 else "random-subset"
+        if policy == "worst-case-toward-target" and target is None:
+            raise StructureError(f"noise policy {policy} needs the private challenge file")
         return noise_mod.TSparse(int(parts[1]), policy=policy, target=target)
     raise SystemExit(f"unknown noise spec {spec!r}")
 
@@ -131,6 +134,9 @@ def parse_noise(spec: str | None, target: str | None = None):
 
 
 def cmd_gen(args) -> int:
+    if args.seed is None:
+        # a guessable default seed would let anyone regenerate the peak
+        args.seed = secrets.randbits(63)
     rng = as_rng(args.seed)
     config = vars(args).copy()
     config.pop("func", None)
@@ -435,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--blocks", nargs="*", default=[], help="private instance files (stitched)")
     g.add_argument("--path", default=None, help="comma-separated peak path (stitched)")
     g.add_argument("--history-out", dest="history_out", default=None)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=None, help="default: OS entropy (kept private)")
     g.add_argument("--out-prefix", dest="out_prefix", default="challenge")
     g.set_defaults(func=cmd_gen)
 

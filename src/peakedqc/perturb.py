@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .sim import (
     N_MAX_DENSE,
@@ -52,6 +51,8 @@ def _unitary_log_generator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     ``(-pi, pi]``; an eigenvalue within ``BRANCH_CUT_TOL`` of -1 sits on
     the cut, which is reported but resolved deterministically to ``+pi``.
     """
+    import scipy.linalg  # imported here: it dominates the CLI's start-up time
+
     t, z = scipy.linalg.schur(u, output="complex")
     phases = np.angle(np.diagonal(t))
     if np.any(np.pi - np.abs(phases) < BRANCH_CUT_TOL):

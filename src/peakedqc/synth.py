@@ -4,9 +4,10 @@ A fixed random brickwall target C is given; the ansatz C'(theta) is a
 brickwall of the same shape whose two-qubit cells are ``exp(-i H)`` with
 ``H`` a real combination of the 15 Pauli-product generators.  The
 objective ``p0(theta) = |<x*| C'(theta)^dag C |0^n>|^2`` is computed from
-two statevector passes and maximized with Adam; gradients are exact
-(reverse-sweep adjoint differentiation plus the eigendecomposition form of
-the exponential-map derivative), not finite differences.
+two statevector passes and maximized with Adam. Gradients are exact, not
+finite differences: an adjoint sweep undoes each gate on the forward state,
+and the eigenbasis form of the exponential-map derivative turns each gate's
+4x4 environment into its 15 derivatives through one 15x16 Pauli-trace map.
 """
 from __future__ import annotations
 
@@ -76,63 +77,50 @@ def _su4_batch(params: np.ndarray):
     return mats, w, q
 
 
-def _gate_derivatives_batch(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Directional derivatives of exp(-iH) along each generator, all gates.
-
-    Daleckii-Krein: with H = Q diag(w) Q^dag and f(x) = exp(-ix), the
-    derivative along E is Q (F * (Q^dag E Q)) Q^dag where
-    F_kl = (f(w_k) - f(w_l)) / (w_k - w_l), diagonal f'(w_k).
-    Shapes: w (G, 4), q (G, 4, 4); returns (G, 15, 4, 4).
-    """
-    f = np.exp(-1j * w)
-    dw = w[..., :, None] - w[..., None, :]
-    near = np.abs(dw) < 1e-12
-    fmat = (f[..., :, None] - f[..., None, :]) / np.where(near, 1.0, dw)
-    diag_val = np.broadcast_to((-1j * f)[..., :, None], fmat.shape)
-    fmat = np.where(near, diag_val, fmat)
-    basis_rot = np.einsum("gki,mkl,glj->gmij", q.conj(), SU4_BASIS, q)
-    return np.einsum("gik,gmkl,gjl->gmij", q, fmat[:, None, :, :] * basis_rot, q.conj())
-
-
-def _forward_states(start: np.ndarray, n: int, pairs, mats) -> list[np.ndarray]:
-    """All intermediate states of the ansatz pass, input state first."""
-    states = [start.copy()]
-    psi = start
-    shape = (2,) * n
-    for pair, mat in zip(pairs, mats):
-        psi = psi.copy()
-        _apply_matrix(psi.reshape(shape), pair, mat)
-        states.append(psi)
-    return states
+# Tr(A P_m) = sum_ij A_ij (P_m)_ji, so row m is P_m transposed and flattened
+_PAULI_TRACE = SU4_BASIS.transpose(0, 2, 1).reshape(15, 16)
 
 
 def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.ndarray):
     """``p0`` and its exact gradient for the current parameters.
 
-    Writes the overlap as beta = <c|C'(theta)|x*>; one forward sweep stores
-    the intermediate states, one backward sweep drags <c| through the
-    adjoint gates, and each gate's 4x4 environment contracts against the
-    exponential-map derivatives. p0 = |beta|^2, grad p0 = 2 Re(conj(beta) grad beta).
+    Writes the overlap as beta = <c|C'(theta)|x*>. After one forward pass on
+    a copy of |x*>, the backward sweep undoes each gate on that state while
+    pulling <c| back through it (Jones & Gacon, arXiv:2009.02823), so gate
+    j's environment env[p, q] = sum_rest conj(lam)[p] psi[q] needs two states.
+    Daleckii-Krein: with H = Q diag(w) Q^dag and f(x) = exp(-ix), the
+    derivative of exp(-iH) along E is Q (F * (Q^dag E Q)) Q^dag with
+    F_kl = (f(w_k) - f(w_l)) / (w_k - w_l) and diagonal f'(w_k). So
+    d beta / d theta_m = Tr(A P_m) with A = Q (F * (Q^dag env^T Q)) Q^dag,
+    and p0 = |beta|^2, grad p0 = 2 Re(conj(beta) grad beta).
     """
     n = pcirc.n
-    shape = (2,) * n
     mats, w, q = _su4_batch(pcirc.params)
-    states = _forward_states(x_star_state, n, pcirc.pairs, mats)
-    beta = np.vdot(c_state, states[-1])
+    psi = x_star_state.reshape((2,) * n).copy()
+    for pair, mat in zip(pcirc.pairs, mats):
+        _apply_matrix(psi, pair, mat)
+    beta = np.vdot(c_state, psi)
 
-    n_gates = len(pcirc.pairs)
-    envs = np.empty((n_gates, 4, 4), dtype=complex)
-    lam = c_state.copy()
-    for j in range(n_gates - 1, -1, -1):
-        pair = pcirc.pairs[j]
-        lam_view = np.moveaxis(lam.reshape(shape), pair, (0, 1)).reshape(4, -1)
-        psi_view = np.moveaxis(states[j].reshape(shape), pair, (0, 1)).reshape(4, -1)
-        envs[j] = lam_view.conj() @ psi_view.T  # env[p,q] = sum_rest conj(lam)[p] psi[q]
-        # pull <c| back through gate j for the next environment
-        _apply_matrix(lam.reshape(shape), pair, mats[j].conj().T)
-    dmats = _gate_derivatives_batch(w, q)
-    grad = 2.0 * np.real(np.conj(beta) * np.einsum("gpq,gmpq->gm", envs, dmats))
-    return float(abs(beta) ** 2), grad, np.conj(beta)
+    envs = np.empty((len(pcirc.pairs), 4, 4), dtype=complex)
+    lam = c_state.reshape((2,) * n).copy()
+    for j in range(len(pcirc.pairs) - 1, -1, -1):
+        pair, undo = pcirc.pairs[j], mats[j].conj().T
+        _apply_matrix(psi, pair, undo)
+        rest = [k for k in range(n) if k not in pair]
+        # pairs are ascending, so the axes left are (p_0, p_1, q_0, q_1)
+        envs[j] = np.tensordot(lam.conj(), psi, (rest, rest)).reshape(4, 4)
+        _apply_matrix(lam, pair, undo)
+
+    f = np.exp(-1j * w)
+    dw = w[:, :, None] - w[:, None, :]
+    near = np.abs(dw) < 1e-12
+    fmat = np.where(
+        near, (-1j * f)[:, :, None], (f[:, :, None] - f[:, None, :]) / np.where(near, 1.0, dw)
+    )
+    qh = q.conj().transpose(0, 2, 1)
+    a = q @ (fmat * (qh @ envs.transpose(0, 2, 1) @ q)) @ qh
+    grad = 2.0 * np.real(np.conj(beta) * (a.reshape(-1, 16) @ _PAULI_TRACE.T))
+    return float(abs(beta) ** 2), grad
 
 
 def _target_column(target: Circuit) -> np.ndarray:
@@ -150,10 +138,8 @@ def objective(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) -
 def gradient(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) -> np.ndarray:
     """Exact adjoint gradient of the objective, same shape as the params."""
     x_star = "0" * target.n if x_star is None else x_star
-    c_state = _target_column(target)
     start = StateVector.basis(target.n, x_star).amps
-    _, grad, _ = _value_and_grad(c_state, pcirc, start)
-    return grad
+    return _value_and_grad(_target_column(target), pcirc, start)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +238,7 @@ def multistart_search(
         history = []
         steps_run = 0
         for t in range(iters + 1):
-            p0, grad, _ = _value_and_grad(c_state, pcirc, start_state)
+            p0, grad = _value_and_grad(c_state, pcirc, start_state)
             if t % history_stride == 0 or t == iters or p0 >= delta_target:
                 history.append((t, p0))
             if p0 > best_p0:

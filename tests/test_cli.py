@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +170,39 @@ def test_end_to_end_determinism(tmp_path):
         run_cli("sample", "--challenge", a_pub, "--shots", 500, "--seed", 7,
                 "--out", tmp_path / f"{name}.txt")
     assert (tmp_path / "s1.txt").read_text() == (tmp_path / "s2.txt").read_text()
+
+
+def test_gen_default_seed_is_secret_and_recorded(tmp_path):
+    def gen(prefix, *seed):
+        assert run_cli("gen", "--method", "postselect", "--conditioned", "--n", 3,
+                       "--delta", 0.9, *seed, "--out-prefix", prefix) == 0
+        return [open(f"{prefix}.{side}.json", "rb").read() for side in ("public", "private")]
+
+    first = gen(tmp_path / "a")
+    second = gen(tmp_path / "b")
+    pub_a, priv_a = json.loads(first[0]), json.loads(first[1])
+    assert pub_a["commitment"] != json.loads(second[0])["commitment"]
+    seed = priv_a["config"]["seed"]
+    assert isinstance(seed, int) and priv_a["seed"] == seed
+    assert str(seed) not in first[0].decode()
+    assert gen(tmp_path / "a", "--seed", seed) == first
+
+
+def test_sample_worst_case_noise_needs_private_file(tmp_path, capsys):
+    pub_path, _ = gen_conditioned(tmp_path, n=4, seed=86)
+    rc = run_cli("sample", "--challenge", pub_path, "--shots", 10,
+                 "--noise", "tsparse:1:worst-case-toward-target", "--out", tmp_path / "s.txt")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
+    assert "private" in err
+
+
+def test_cli_import_skips_scipy_linalg():
+    code = "import sys, peakedqc.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_stitch_subcommand(tmp_path):

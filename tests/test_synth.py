@@ -46,12 +46,16 @@ def test_gradient_zero_at_interior_maximum():
     assert np.abs(g).max() < 1e-8
 
 
-@pytest.mark.parametrize("n,depth", [(2, 1), (4, 3), (6, 6)])
-def test_gradient_matches_finite_differences(n, depth):
+@pytest.mark.parametrize(
+    "n,depth,x_star",
+    [(2, 1, "00"), (4, 3, "0000"), (6, 6, "000000"), (6, 24, "101101")],
+    ids=["2-1", "4-3", "6-6", "6-24-101101"],
+)
+def test_gradient_matches_finite_differences(n, depth, x_star):
     rng = np.random.default_rng(10 + n)
     target = random_brickwall(n, depth, seed=rng)
     pc = ParamCircuit.random(n, depth, rng, scale=0.4)
-    g = gradient(target, pc)
+    g = gradient(target, pc, x_star)
     h = 1e-5
     flat = [(i, j) for i in range(g.shape[0]) for j in range(g.shape[1])]
     picks = rng.choice(len(flat), size=10, replace=False)
@@ -63,7 +67,7 @@ def test_gradient_matches_finite_differences(n, depth):
         plus.params[i, j] += h
         minus = ParamCircuit(n, depth, pc.params.copy())
         minus.params[i, j] -= h
-        fd = (objective(target, plus) - objective(target, minus)) / (2 * h)
+        fd = (objective(target, plus, x_star) - objective(target, minus, x_star)) / (2 * h)
         assert abs(fd - g[i, j]) / abs(g[i, j]) <= 1e-6
 
 
