@@ -113,20 +113,23 @@ def _load_private(path: str) -> dict:
 
 
 def parse_noise(spec: str | None, target: str | None = None):
+    """The channel named by ``spec``; a malformed spec raises ``StructureError``."""
     if spec is None:
         return None
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind == "bsc":
-        return noise_mod.BSC(float(parts[1]))
-    if kind == "depol":
-        return noise_mod.GlobalDepolarizing(float(parts[1]))
-    if kind == "tsparse":
-        policy = parts[2] if len(parts) > 2 else "random-subset"
-        if policy == "worst-case-toward-target" and target is None:
-            raise StructureError(f"noise policy {policy} needs the private challenge file")
-        return noise_mod.TSparse(int(parts[1]), policy=policy, target=target)
-    raise SystemExit(f"unknown noise spec {spec!r}")
+    kind, *args = spec.split(":")
+    policy = args[1] if kind == "tsparse" and len(args) == 2 else "random-subset"
+    if policy == "worst-case-toward-target" and target is None:
+        raise StructureError(f"noise policy {policy} needs the private challenge file")
+    try:
+        if kind == "bsc" and len(args) == 1:
+            return noise_mod.BSC(float(args[0]))
+        if kind == "depol" and len(args) == 1:
+            return noise_mod.GlobalDepolarizing(float(args[0]))
+        if kind == "tsparse" and len(args) in (1, 2):
+            return noise_mod.TSparse(int(args[0]), policy=policy, target=target)
+    except ValueError as exc:
+        raise StructureError(f"noise spec {spec!r}: {exc}") from None
+    raise StructureError(f"noise spec {spec!r} is not one of bsc:R, tsparse:T[:policy], depol:E")
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +252,12 @@ def cmd_verify(args) -> int:
     n = private["n"]
 
     t, expected = args.t, claimed
-    if args.noise and args.noise.startswith("bsc"):
-        r = float(args.noise.split(":")[1])
-        plan = noise_mod.plan_samples("majority", n=n, p_max=max(claimed, 1e-6), r=r, eta=0.1)
+    model = parse_noise(args.noise, x_star)
+    if isinstance(model, noise_mod.BSC):
+        plan = noise_mod.plan_samples("majority", n=n, p_max=max(claimed, 1e-6), r=model.r, eta=0.1)
         t = plan.hba_radius if t is None else t
         # the share of the peak's weight that BSC(r) keeps within radius t
-        expected *= noise_mod._landing_prob_bsc(n, 0, r, t)
+        expected *= noise_mod._landing_prob_bsc(n, 0, model.r, t)
     t = 0 if t is None else t
 
     if args.decoder == "majority":

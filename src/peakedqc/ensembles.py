@@ -371,6 +371,9 @@ def frobenius_sq_to_identity(p: np.ndarray, peak_phase: complex | None = None) -
 # ---------------------------------------------------------------------------
 # anti-concentration
 
+# each circuit trial tabulates all 2^n outcome probabilities
+N_MAX_ANTICONCENTRATION = 10
+
 
 def anticoncentration_check(
     n: int, depth: int, circuit_trials: int, seed=None, alpha: float = 1.0
@@ -380,8 +383,8 @@ def anticoncentration_check(
     The outcome average is taken exactly over all ``2^n`` strings per
     circuit (the uniform-x expectation), the circuit average empirically.
     """
-    if n > 10:
-        raise ValueError("anticoncentration check is capped at n <= 10")
+    if n > N_MAX_ANTICONCENTRATION:
+        raise ValueError(f"anticoncentration check is capped at n <= {N_MAX_ANTICONCENTRATION}")
     rng = as_rng(seed)
     d = 1 << n
     threshold = alpha / d

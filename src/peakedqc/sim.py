@@ -12,10 +12,10 @@ Conventions used throughout the package:
   generator basis (see :func:`su4_gate`); the matrix is materialized at
   construction time.
 
-Gate application mutates the amplitude buffer in place through strided
-views, so a circuit pass costs one ``2^k x 2^k`` mat-vec per gate over the
-untouched axes.  Full-unitary materialization is capped at
-``N_MAX_DENSE`` wires.
+Every gate goes through :func:`_apply_matrix`, which views the buffer as
+``(L, D, R)`` for contiguous ascending wires and folds a small ``R`` into
+the matrix; circuit passes alternate between two buffers.  ``N_MAX_DENSE``
+caps full unitaries, ``N_MAX_STATEVECTOR`` measured statevector peaks.
 """
 from __future__ import annotations
 
@@ -26,6 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 N_MAX_DENSE = 12  # a 2^12 x 2^12 complex128 matrix is ~268 MB
+N_MAX_STATEVECTOR = 22  # two 2^22 complex128 buffers are 128 MB
+FOLD_BELOW = 16  # fold trailing extents below this into the matrix (BENCH_gate_kernel.json)
 
 UNITARITY_TOL = 1e-12
 
@@ -254,16 +256,38 @@ def x_layer_gates(mask_bits: str) -> list[Gate]:
 # simulation kernels
 
 
-def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray) -> None:
-    """Apply ``matrix`` to the given axes of ``tensor``, writing in place.
+def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray,
+                  out: np.ndarray | None = None) -> None:
+    """Apply ``matrix`` to the ``wires`` axes of ``tensor``, into ``out`` or in place.
 
-    ``tensor`` is the amplitude buffer viewed with one length-2 axis per
-    wire (extra trailing axes, e.g. a column batch, ride along).
+    Both are C-contiguous buffers with one length-2 axis per wire (trailing
+    batch axes ride along).  Contiguous ascending wires view them as
+    ``(L, D, R)``: one stacked ``matmul`` if ``R >= FOLD_BELOW`` or
+    ``L == 1``, else one GEMM ``(L, D*R) @ (M (x) I_R)^T`` (never for
+    ``D >= FOLD_BELOW``, as the folded matrix is ``(D*R)^2``).  Other wire
+    tuples go through ``moveaxis``.
     """
-    k = len(wires)
-    moved = np.moveaxis(tensor, wires, range(k))
-    flat = moved.reshape(1 << k, -1)
-    moved[...] = (matrix @ flat).reshape(moved.shape)
+    out = tensor if out is None else out
+    k, first, dim = len(wires), wires[0], 1 << len(wires)
+    if wires != tuple(range(first, first + k)):
+        moved = np.moveaxis(tensor, wires, range(k))
+        np.moveaxis(out, wires, range(k))[...] = (matrix @ moved.reshape(dim, -1)).reshape(moved.shape)
+        return
+    left, right = 1 << first, tensor.size >> (first + k)
+    if right >= FOLD_BELOW or left == 1 or dim >= FOLD_BELOW:
+        np.matmul(matrix, tensor.reshape(left, dim, right), out=out.reshape(left, dim, right))
+    else:
+        folded = (matrix.T[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, -1)
+        np.matmul(tensor.reshape(left, -1), folded, out=out.reshape(left, -1))
+
+
+def _run_gates(buffer: np.ndarray, shape: tuple[int, ...], gates: Sequence[Gate]) -> np.ndarray:
+    """Apply ``gates`` in order, alternating with a spare; returns the buffer holding the result."""
+    src, dst = buffer.reshape(shape), np.empty_like(buffer).reshape(shape)
+    for g in gates:
+        _apply_matrix(src, g.wires, g.matrix, out=dst)
+        src, dst = dst, src
+    return src.reshape(buffer.shape)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -271,10 +295,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     if state.n != circuit.n:
         raise StructureError(f"state on {state.n} wires, circuit on {circuit.n}")
     amps = np.array(state.amps, dtype=complex)
-    tensor = amps.reshape((2,) * circuit.n)
-    for g in circuit.gates:
-        _apply_matrix(tensor, g.wires, g.matrix)
-    return StateVector(circuit.n, amps)
+    return StateVector(circuit.n, _run_gates(amps, (2,) * circuit.n, circuit.gates))
 
 
 def amplitude(circuit: Circuit, bits_in: str, bits_out: str) -> complex:
@@ -317,11 +338,7 @@ def full_unitary(circuit: Circuit, n_max_dense: int = N_MAX_DENSE) -> np.ndarray
             f"dense unitary for n={circuit.n} exceeds the n_max_dense={n_max_dense} cap"
         )
     d = 1 << circuit.n
-    u = np.eye(d, dtype=complex)
-    tensor = u.reshape((2,) * circuit.n + (d,))
-    for g in circuit.gates:
-        _apply_matrix(tensor, g.wires, g.matrix)
-    return u
+    return _run_gates(np.eye(d, dtype=complex), (2,) * circuit.n + (d,), circuit.gates)
 
 
 def compose(*circuits: Circuit) -> Circuit:

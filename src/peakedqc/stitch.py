@@ -24,6 +24,7 @@ import numpy as np
 from .ensembles import PeakedInstance, haar_unitary
 from .sim import (
     N_MAX_DENSE,
+    N_MAX_STATEVECTOR,
     Circuit,
     Gate,
     StructureError,
@@ -110,12 +111,12 @@ class StitchResult(NamedTuple):
     boundaries: list[int]  # gate index at which each block starts
 
 
-def stitch(plan: StitchPlan, n_max_dense: int = N_MAX_DENSE) -> StitchResult:
-    """Concatenate the blocks; measure the composed peak when dense fits.
+def stitch(plan: StitchPlan) -> StitchResult:
+    """Concatenate the blocks; measure the composed peak when a statevector fits.
 
     The composed instance is peaked on the path's last string.  Beyond the
-    dense cap the peakedness is set to ``prod(1 - eps_i)`` and flagged as
-    predicted rather than measured.
+    statevector cap ``N_MAX_STATEVECTOR`` the peakedness is set to
+    ``prod(1 - eps_i)`` and flagged as predicted rather than measured.
     """
     if plan.path[0] != "0" * plan.blocks[0].circuit.n:
         raise StructureError("composed instances must start their path at the all-zero string")
@@ -129,7 +130,7 @@ def stitch(plan: StitchPlan, n_max_dense: int = N_MAX_DENSE) -> StitchResult:
     x_last = plan.path[-1]
 
     predicted = float(np.prod([1.0 - e for e in plan.leakages]))
-    if n <= n_max_dense:
+    if n <= N_MAX_STATEVECTOR:
         peak = float(abs(amplitude(circuit, "0" * n, x_last)) ** 2)
         flagged = False
     else:
@@ -166,6 +167,10 @@ def closed_form_q(d: int, eps_list: Sequence[float]) -> float:
     return 1.0 / d + prod * (1.0 - 1.0 / d)
 
 
+# every layer draws a dense Haar unitary of dimension 2^n - 1
+N_MAX_BLOCK_MIXING = 8
+
+
 class MixingEstimate(NamedTuple):
     mean: float
     std_err: float
@@ -180,8 +185,8 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
     weight ``eps`` out of the tracked direction and ``X_j`` independent
     Haar on the complement, exactly the hypotheses behind the recurrence.
     """
-    if n > 8:
-        raise ValueError("block-mixing Monte Carlo is capped at n <= 8")
+    if n > N_MAX_BLOCK_MIXING:
+        raise ValueError(f"block-mixing Monte Carlo is capped at n <= {N_MAX_BLOCK_MIXING}")
     rng = as_rng(seed)
     d = 1 << n
     c, s = math.sqrt(1.0 - eps), math.sqrt(eps)

@@ -16,7 +16,7 @@ from peakedqc.cli import (
     read_json,
 )
 from peakedqc import noise
-from peakedqc.sim import circuit_from_json
+from peakedqc.sim import StructureError, circuit_from_json
 
 
 def run_cli(*args):
@@ -250,6 +250,28 @@ def test_parse_noise_specs():
     ts = parse_noise("tsparse:3", target="000")
     assert ts.t == 3 and ts.policy == "random-subset"
     assert parse_noise(None) is None
+
+
+MALFORMED_NOISE = ["bsc:x", "bsc", "bsc:0.7", "tsparse:1:bogus", "tsparse:x", "depol:0.1:2", "foo:1"]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_NOISE)
+def test_parse_noise_rejects_malformed(spec):
+    with pytest.raises(StructureError, match="noise spec"):
+        parse_noise(spec, target="000")
+
+
+@pytest.mark.parametrize("spec", ["bsc:x", "tsparse:1:bogus", "foo:1"])
+def test_malformed_noise_exits_2(tmp_path, capsys, spec):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=4, seed=87)
+    shots_path = tmp_path / "s.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 10, "--seed", 1,
+                   "--out", shots_path, "--noise", spec) == 2
+    assert not shots_path.exists()
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 10, "--seed", 1, "--out", shots_path) == 0
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path, "--noise", spec) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("peakedqc: ") and spec in line for line in err)
 
 
 def test_commitment_binding():

@@ -1,5 +1,6 @@
 """Core simulator: gate application, amplitudes, sampling, embeddings."""
 import math
+import string
 
 import numpy as np
 import pytest
@@ -102,6 +103,57 @@ def test_apply_matches_full_unitary(seed):
     assert np.abs(u @ vec - direct).max() < 1e-12
     # and the dense kernel agrees with the bit-bookkeeping oracle
     assert np.abs(u - dense_oracle(circ)).max() < 1e-12
+
+
+def einsum_apply(tensor, wires, matrix):
+    """Independent reference for one gate: a single np.einsum over explicit
+    index letters, one per axis (no reshapes, no moved axes)."""
+    k, src = len(wires), string.ascii_letters[: tensor.ndim]
+    new = string.ascii_letters[tensor.ndim: tensor.ndim + k]
+    dst = list(src)
+    for w, c in zip(wires, new):
+        dst[w] = c
+    spec = f"{new}{''.join(src[w] for w in wires)},{src}->{''.join(dst)}"
+    return np.einsum(spec, matrix.reshape((2,) * 2 * k), tensor)
+
+
+def _layouts(n):
+    # an adjacent pair at every position (so trailing extents below and above
+    # sim.FOLD_BELOW both occur), one wire, three adjacent wires, the full
+    # register, a descending pair and a non-adjacent triple
+    return ([(w, w + 1) for w in range(n - 1)]
+            + [(0,), (n // 2,), (n - 1,), (1, 2, 3), tuple(range(n)), (n - 2, n - 3), (0, 2, n - 1)])
+
+
+def _kernel_circuit(n, wires, seed):
+    """A random brickwall with one non-unitary gate on ``wires`` inside it."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << len(wires)
+    odd = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2 * dim)
+    gates = random_brickwall(n, 3, seed=rng).gates
+    return Circuit(n, gates[:5] + [Gate(wires, odd, unitary=False)] + gates[5:])
+
+
+@pytest.mark.parametrize("n, wires", [(n, w) for n in (5, 14) for w in _layouts(n) if len(w) <= 12])
+def test_apply_circuit_matches_einsum_reference(n, wires):
+    circ = _kernel_circuit(n, wires, seed=n * 100 + sum(wires))
+    rng = np.random.default_rng(len(wires))
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    vec /= np.linalg.norm(vec)
+    ref = vec.reshape((2,) * n)
+    for g in circ.gates:
+        ref = einsum_apply(ref, g.wires, g.matrix)
+    direct = apply_circuit(StateVector(n, vec), circ).amps
+    assert np.abs(direct - ref.ravel()).max() < 1e-12
+
+
+@pytest.mark.parametrize("wires", _layouts(5))
+def test_full_unitary_matches_einsum_reference(wires):
+    circ = _kernel_circuit(5, wires, seed=sum(wires))
+    ref = np.eye(32, dtype=complex).reshape((2,) * 5 + (32,))
+    for g in circ.gates:
+        ref = einsum_apply(ref, g.wires, g.matrix)
+    assert np.abs(full_unitary(circ) - ref.reshape(32, 32)).max() < 1e-12
 
 
 def test_full_unitary_identity_and_h():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from peakedqc import stitch
-from peakedqc.ensembles import conditioned_generate, random_brickwall
-from peakedqc.sim import Circuit, StructureError, amplitude
+from peakedqc.ensembles import PeakedInstance, conditioned_generate, random_brickwall
+from peakedqc.sim import Circuit, StructureError, adjoint, amplitude, compose, x_layer_gates
 from peakedqc.stitch import (
     StitchPlan,
     boundary_rewrite,
@@ -77,6 +77,22 @@ def test_two_exact_blocks_compose_to_one():
     plan = make_plan([a, b])
     _, out, _ = stitch_blocks(plan)
     assert abs(out.peakedness - 1.0) < 1e-9
+
+
+def test_stitch_measures_peak_above_dense_cap(monkeypatch):
+    # n = 14 is above the dense cap but within the statevector cap: the peak
+    # is measured, not predicted
+    n = 14
+    c = random_brickwall(n, 4, seed=12)
+    x1, x2 = "10110011100011", "01101100011101"
+    a = PeakedInstance(Circuit(n, compose(adjoint(c), c).gates + x_layer_gates(x1)), x1, 1.0, "test")
+    b = PeakedInstance(Circuit(n, x_layer_gates(x2)), x2, 1.0, "test")
+    _, out, _ = stitch_blocks(make_plan([a, b]))
+    assert out.peakedness_is_predicted is False
+    assert out.peak_string == x2
+    assert abs(out.peakedness - 1.0) < 1e-12
+    monkeypatch.setattr(stitch, "N_MAX_STATEVECTOR", n - 1)
+    assert stitch_blocks(make_plan([a, b])).instance.peakedness_is_predicted is True
 
 
 def test_retarget_moves_the_peak():
