@@ -23,7 +23,6 @@ from .sim import (
     controlled_embedding,
     full_unitary,
     output_distribution,
-    peak_weight,
     sample,
 )
 from .ensembles import (

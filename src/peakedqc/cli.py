@@ -35,9 +35,9 @@ from .ensembles import (
 from .sim import (
     SampleSet,
     StructureError,
+    amplitude,
     as_rng,
     circuit_from_json,
-    circuit_to_json,
     sample as sim_sample,
 )
 
@@ -53,9 +53,21 @@ def write_json(path: str, obj) -> None:
     write_atomic(path, json.dumps(obj))
 
 
-def read_json(path: str):
+def parse_json(text: str, path: str, keys: tuple[str, ...] = ()) -> dict:
+    """The JSON object in ``text``; one that is not JSON or lacks a key is a ``StructureError``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"{path} is not JSON: {exc}") from None
+    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
+    if missing:
+        raise StructureError(f"{path} has no {', '.join(missing)}")
+    return obj
+
+
+def read_json(path: str, *keys: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return parse_json(fh.read(), path, keys)
 
 
 def commitment_digest(peak_string: str, salt: bytes) -> str:
@@ -72,26 +84,17 @@ class Challenge:
     @classmethod
     def from_instance(cls, inst: PeakedInstance, rng, config: dict, plan: dict | None = None) -> "Challenge":
         salt = rng.bytes(16)
+        n = inst.circuit.n
+        private = instance_to_json(inst, include_factors=False)
+        private.update(n=n, salt=salt.hex(), commitment=commitment_digest(inst.peak_string, salt),
+                       plan=plan, config=config)
         # the public side must carry no generation parameters: the seed alone
         # would let a challenger regenerate the instance and read off the peak
         public = {
-            "n": inst.circuit.n,
-            "circuit": circuit_to_json(inst.circuit),
-            "commitment": commitment_digest(inst.peak_string, salt),
-            "config": {"command": config.get("command"), "n": inst.circuit.n},
-        }
-        private = {
-            "n": inst.circuit.n,
-            "peak_string": inst.peak_string,
-            "peakedness": inst.peakedness,
-            "peakedness_is_predicted": inst.peakedness_is_predicted,
-            "method": inst.method,
-            "seed": inst.seed,
-            "salt": salt.hex(),
-            "commitment": public["commitment"],
-            "circuit": circuit_to_json(inst.circuit),
-            "plan": plan,
-            "config": config,
+            "n": n,
+            "circuit": private["circuit"],
+            "commitment": private["commitment"],
+            "config": {"command": config.get("command"), "n": n},
         }
         return cls(public, private)
 
@@ -99,13 +102,6 @@ class Challenge:
         return self.public["commitment"] == commitment_digest(
             self.private["peak_string"], bytes.fromhex(self.private["salt"])
         )
-
-
-def _load_private(path: str) -> dict:
-    obj = read_json(path)
-    if "peak_string" not in obj:
-        raise SystemExit(f"{path} is not a private challenge file (no peak data)")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def cmd_gen(args) -> int:
     rng = as_rng(args.seed)
     config = vars(args).copy()
     config.pop("func", None)
-    plan_obj = None
+    plan_obj, rc = None, 0
 
     if args.method == "postselect":
         if args.conditioned:
@@ -175,39 +171,33 @@ def cmd_gen(args) -> int:
             write_atomic(args.history_out, "\n".join(lines) + "\n")
         if report.below_target:
             print("below-target: synthesis did not reach the requested peakedness", file=sys.stderr)
-            _write_challenge(inst, rng, config, args.out_prefix, plan_obj)
-            return 1
-    elif args.method == "stitched":
-        insts = [instance_from_json(read_json(p)) for p in args.blocks]
-        path = args.path.split(",") if args.path else None
-        plan = stitch_mod.make_plan(insts, path)
-        _, inst, boundaries = stitch_mod.stitch(plan)
-        plan_obj = {
-            "path": plan.path,
-            "leakages": plan.leakages,
-            "boundaries": boundaries,
-            "blocks": [instance_to_json(b, include_factors=False) for b in insts],
-        }
-        print(
-            f"stitched {len(insts)} blocks, peakedness {inst.peakedness:.6f}"
-            f"{' (predicted)' if inst.peakedness_is_predicted else ''}"
-        )
+            rc = 1
     else:
-        raise SystemExit(f"unknown method {args.method!r}")
+        blocks, inst, plan_obj = _stitch_blocks(args.blocks, args.path)
+        plan_obj["blocks"] = [instance_to_json(b, include_factors=False) for b in blocks]
 
-    _write_challenge(inst, rng, config, args.out_prefix, plan_obj)
-    return 0
-
-
-def _write_challenge(inst, rng, config, out_prefix, plan_obj):
     challenge = Challenge.from_instance(inst, rng, config, plan_obj)
-    write_json(f"{out_prefix}.public.json", challenge.public)
-    write_json(f"{out_prefix}.private.json", challenge.private)
-    print(f"wrote {out_prefix}.public.json and {out_prefix}.private.json")
+    write_json(f"{args.out_prefix}.public.json", challenge.public)
+    write_json(f"{args.out_prefix}.private.json", challenge.private)
+    print(f"wrote {args.out_prefix}.public.json and {args.out_prefix}.private.json")
+    return rc
+
+
+def _stitch_blocks(paths: list[str], path_spec: str | None):
+    """The blocks read from ``paths``, their stitched instance and its plan dict."""
+    blocks = [instance_from_json(read_json(p, "circuit", "peak_string", "peakedness", "method"))
+              for p in paths]
+    plan = stitch_mod.make_plan(blocks, path_spec.split(",") if path_spec else None)
+    _, inst, boundaries = stitch_mod.stitch(plan)
+    print(
+        f"stitched {len(blocks)} blocks, peakedness {inst.peakedness:.6f}"
+        f"{' (predicted)' if inst.peakedness_is_predicted else ''}"
+    )
+    return blocks, inst, {"path": plan.path, "leakages": plan.leakages, "boundaries": boundaries}
 
 
 def cmd_sample(args) -> int:
-    obj = read_json(args.challenge)
+    obj = read_json(args.challenge, "circuit")
     circuit = circuit_from_json(obj["circuit"])
     n = circuit.n
     target = obj.get("peak_string")
@@ -219,22 +209,18 @@ def cmd_sample(args) -> int:
     if model is not None:
         samples = noise_mod.apply_noise(samples, model, seed=args.seed)
     if args.json:
-        write_json(args.out, {"n": n, "shots": samples.shots, "meta": _clean_meta(samples.meta)})
+        write_json(args.out, {"n": n, "shots": samples.shots, "meta": samples.meta})
     else:
         write_atomic(args.out, "\n".join(samples.shots) + "\n")
     print(f"wrote {args.shots} shots to {args.out}")
     return 0
 
 
-def _clean_meta(meta: dict) -> dict:
-    return {k: v for k, v in meta.items() if isinstance(v, (str, int, float, bool, type(None)))}
-
-
 def load_shots(path: str) -> SampleSet:
     with open(path) as fh:
         text = fh.read().strip()
     if text.startswith("{"):
-        obj = json.loads(text)
+        obj = parse_json(text, path, ("n", "shots"))
         n, shots, meta = obj["n"], obj["shots"], obj.get("meta", {})
     else:
         shots, meta = text.split(), {}
@@ -245,56 +231,30 @@ def load_shots(path: str) -> SampleSet:
 
 
 def cmd_verify(args) -> int:
-    private = _load_private(args.private)
+    if args.depol is not None:
+        if args.noise is not None:
+            raise StructureError("--depol E is --noise depol:E; give the channel once")
+        args.noise = f"depol:{args.depol}"
+    private = read_json(args.private, "n", "peak_string", "peakedness", "salt", "commitment")
     samples = load_shots(args.shots)
-    x_star = private["peak_string"]
-    claimed = private["peakedness"]
-    n = private["n"]
-
-    t, expected = args.t, claimed
-    model = parse_noise(args.noise, x_star)
-    if isinstance(model, noise_mod.BSC):
-        plan = noise_mod.plan_samples("majority", n=n, p_max=max(claimed, 1e-6), r=model.r, eta=0.1)
-        t = plan.hba_radius if t is None else t
-        # the share of the peak's weight that BSC(r) keeps within radius t
-        expected *= noise_mod._landing_prob_bsc(n, 0, model.r, t)
-    t = 0 if t is None else t
-
-    if args.decoder == "majority":
-        decoded = noise_mod.majority_decode(samples)
-    elif args.decoder == "center":
-        decoded, _ = noise_mod.hamming_center_decode(samples, max(t, 1))
-    else:
-        decoded = x_star  # hba estimates around the known witness
-    report = noise_mod.hba_estimate(samples, decoded, t)
-    estimate, se_scale = report.estimate, 1.0
-
-    if args.depol:
-        estimate, se_scale, _ = noise_mod.debias_depolarizing(estimate, args.depol, n)
-
-    salt = bytes.fromhex(private["salt"])
-    commitment_ok = commitment_digest(decoded, salt) == private["commitment"]
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = max(3 * report.std_err * se_scale + report.bias_bound, 1e-3)
-    weight_ok = abs(estimate - expected) <= tolerance
+    if samples.n != private["n"]:
+        raise StructureError(f"{args.shots} holds {samples.n}-bit shots; the challenge has n = {private['n']}")
+    channel = parse_noise(args.noise, private["peak_string"])
+    v = noise_mod.verdict(samples, private["peak_string"], private["peakedness"], channel,
+                          args.decoder, args.t, args.tolerance)
+    commitment_ok = commitment_digest(v.decoded, bytes.fromhex(private["salt"])) == private["commitment"]
 
     verdict = {
-        "accept": bool(commitment_ok and weight_ok),
-        "decoded_string": decoded,
+        "accept": bool(commitment_ok and v.weight_ok),
+        "decoded_string": v.decoded,
         "commitment_matches": bool(commitment_ok),
-        "estimate": estimate,
-        "claimed": claimed,
-        "expected": expected,
-        "tolerance": tolerance,
+        "estimate": v.estimate,
+        "claimed": private["peakedness"],
+        "expected": v.expected,
+        "tolerance": v.tolerance,
         "decoder": args.decoder,
-        "hba_radius": t,
-        "estimate_report": {
-            "estimate": report.estimate,
-            "std_err": report.std_err,
-            "bias_bound": report.bias_bound,
-            "params": report.params,
-        },
+        "hba_radius": v.radius,
+        "estimate_report": vars(v.report),
     }
     text = json.dumps(verdict, indent=1)
     if args.out:
@@ -302,7 +262,7 @@ def cmd_verify(args) -> int:
     print(text)
     if not commitment_ok:
         print("reject: decoded string does not match the commitment", file=sys.stderr)
-    elif not weight_ok:
+    elif not v.weight_ok:
         print("reject: peak-weight estimate is off the claimed value", file=sys.stderr)
     return 0 if verdict["accept"] else 1
 
@@ -340,37 +300,30 @@ def cmd_stats(args) -> int:
 
 
 def cmd_stitch(args) -> int:
-    insts = [instance_from_json(read_json(p)) for p in args.blocks]
-    path = args.path.split(",") if args.path else None
-    plan = stitch_mod.make_plan(insts, path)
-    circuit, inst, boundaries = stitch_mod.stitch(plan)
+    _, inst, plan_obj = _stitch_blocks(args.blocks, args.path)
     if args.rewrite:
-        res = stitch_mod.boundary_rewrite(circuit, seed=args.seed, boundaries=boundaries)
-        inst.circuit = res.circuit
+        inst.circuit = stitch_mod.boundary_rewrite(inst.circuit, seed=args.seed,
+                                                   boundaries=plan_obj["boundaries"]).circuit
     obj = instance_to_json(inst, include_factors=False)
-    obj["plan"] = {"path": plan.path, "leakages": plan.leakages, "boundaries": boundaries}
+    obj["plan"] = plan_obj
     write_json(args.out, obj)
-    print(
-        f"stitched {len(insts)} blocks -> {args.out}, peakedness {inst.peakedness:.6f}"
-        f"{' (predicted)' if inst.peakedness_is_predicted else ''}"
-    )
+    print(f"wrote {args.out}")
     return 0
 
 
 def cmd_perturb(args) -> int:
-    base = circuit_from_json(read_json(args.base)["circuit"])
-    target = circuit_from_json(read_json(args.target)["circuit"])
+    base = circuit_from_json(read_json(args.base, "circuit")["circuit"])
+    target = circuit_from_json(read_json(args.target, "circuit")["circuit"])
     path = perturb_mod.make_path(base, target)
     x_star = args.x_star or "0" * base.n
     thetas = [float(t) for t in args.theta.split(",")]
     lines = ["theta,p0,p0_truncated,tv_bound"]
     tpath = perturb_mod.TruncatedPath(path, args.K) if args.K is not None else None
     for theta in thetas:
-        from .sim import amplitude as amp
-        p0 = abs(amp(perturb_mod.materialize(path, theta), "0" * base.n, x_star)) ** 2
+        p0 = abs(amplitude(perturb_mod.materialize(path, theta), "0" * base.n, x_star)) ** 2
         p0_tr = ""
         if tpath is not None:
-            p0_tr = abs(amp(perturb_mod.materialize_truncated(tpath, theta).circuit, "0" * base.n, x_star)) ** 2
+            p0_tr = abs(amplitude(perturb_mod.materialize_truncated(tpath, theta).circuit, "0" * base.n, x_star)) ** 2
         chk = perturb_mod.tv_peakedness_check(path, theta, x_star)
         lines.append(f"{theta},{p0},{p0_tr},{chk.bound}")
     text = "\n".join(lines) + "\n"
@@ -383,32 +336,27 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    consts = bounds_mod.BoundConstants()
     kind = args.kind
     if kind == "acceptance":
         rep = bounds_mod.acceptance_haar(args.d, args.delta).as_dict()
     elif kind == "tail":
         rep = bounds_mod.acceptance_kdesign_bound(args.d, args.delta, args.k).as_dict()
     elif kind == "covering":
-        rep = bounds_mod.covering_log(args.n, args.s, args.eps, consts).as_dict()
+        rep = bounds_mod.covering_log(args.n, args.s, args.eps).as_dict()
     elif kind == "packing":
-        rep = bounds_mod.packing_log(args.d, args.k, args.delta, consts).as_dict()
+        rep = bounds_mod.packing_log(args.d, args.k, args.delta).as_dict()
     elif kind == "compression":
-        rep = bounds_mod.compression_probability_bound(
-            args.n, args.k, args.s, args.eps, args.delta, consts
-        ).as_dict()
+        rep = bounds_mod.compression_probability_bound(args.n, args.k, args.s, args.eps, args.delta).as_dict()
     elif kind == "lb":
-        gb = bounds_mod.gate_count_lower_bound(args.n, args.k, consts)
+        gb = bounds_mod.gate_count_lower_bound(args.n, args.k)
         rep = gb.report.as_dict()
         rep["s_star"] = gb.s_star
         rep["regime"] = gb.regime
-    elif kind == "fidelity":
+    else:  # fidelity
         fb = bounds_mod.peak_to_fidelity(args.delta, args.eps)
         rep = fb.report.as_dict()
         rep["f_min"] = fb.f_min
         rep["one_minus_f_relaxation"] = fb.relaxation
-    else:
-        raise SystemExit(f"unknown bounds kind {kind!r}")
     text = json.dumps(rep, indent=1)
     if args.out:
         write_atomic(args.out, text)
@@ -462,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--shots", required=True)
     v.add_argument("--decoder", choices=["majority", "center", "hba"], default="hba")
     v.add_argument("--t", type=int, default=None, help="Hamming-ball radius")
-    v.add_argument("--noise", default=None, help="assumed channel, e.g. bsc:0.05")
-    v.add_argument("--depol", type=float, default=None, help="de-bias strength eps")
+    v.add_argument("--noise", default=None, help="assumed channel: bsc:R | tsparse:T[:policy] | depol:E")
+    v.add_argument("--depol", default=None, metavar="E", help="the same as --noise depol:E")
     v.add_argument("--tolerance", type=float, default=None)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)

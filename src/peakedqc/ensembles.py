@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .sim import (
-    N_MAX_DENSE,
     Brickwall,
     Circuit,
     Gate,
@@ -249,12 +248,12 @@ def conditioned_generate(
 # overlap statistics and block decomposition
 
 
-def hs_overlap(c: Circuit, c_prime: Circuit, n_max_dense: int = N_MAX_DENSE) -> tuple[float, float]:
+def hs_overlap(c: Circuit, c_prime: Circuit) -> tuple[float, float]:
     """``(|Tr(C^dag C')|^2, |Tr(C^dag C')/d|^2)`` for two same-size circuits."""
     if c.n != c_prime.n:
         raise StructureError("circuits act on different wire counts")
-    u = full_unitary(c, n_max_dense)
-    u_prime = full_unitary(c_prime, n_max_dense)
+    u = full_unitary(c)
+    u_prime = full_unitary(c_prime)
     tr = np.trace(u.conj().T @ u_prime)
     d = 1 << c.n
     trace_sq = float(abs(tr) ** 2)
@@ -267,7 +266,7 @@ class BlockDecomposition(NamedTuple):
     unitarity_defect: float
 
 
-def block_extract(circuit: Circuit, x_star: str, n_max_dense: int = N_MAX_DENSE) -> BlockDecomposition:
+def block_extract(circuit: Circuit, x_star: str) -> BlockDecomposition:
     """Split ``P`` into peak amplitude and the complement block.
 
     Rows are aligned by the X-layer permutation that sends ``x*`` to index
@@ -275,7 +274,7 @@ def block_extract(circuit: Circuit, x_star: str, n_max_dense: int = N_MAX_DENSE)
     column are stripped.  For an exactly peaked unitary the remaining block
     is itself unitary; the defect ``max|V^dag V - I|`` measures leakage.
     """
-    u = full_unitary(circuit, n_max_dense)
+    u = full_unitary(circuit)
     ix = bit_index(x_star, circuit.n)
     perm = np.arange(u.shape[0]) ^ ix
     aligned = u[perm, :]
@@ -326,9 +325,7 @@ class GateCorrelation(NamedTuple):
     gate_count: int
 
 
-def gate_correlation_check(
-    c: Circuit, c_prime: Circuit, n_max_dense: int = N_MAX_DENSE
-) -> GateCorrelation:
+def gate_correlation_check(c: Circuit, c_prime: Circuit) -> GateCorrelation:
     """Telescoping bound ``|P - I|_F <= M sqrt(d * eps)`` from per-gate overlaps.
 
     ``rho_m = |Tr(C'_m^dag C_m)|^2 / D_m^2`` is the squared normalized
@@ -353,7 +350,7 @@ def gate_correlation_check(
     d = 1 << c.n
     eps = 1.0 - min(overlaps) if overlaps else 0.0
     m_count = len(c.gates)
-    p = full_unitary(c_prime, n_max_dense).conj().T @ full_unitary(c, n_max_dense)
+    p = full_unitary(c_prime).conj().T @ full_unitary(c)
     # aligning each C' gate by its pair-trace phase rotates P by the product phase
     dist = float(np.linalg.norm(np.conj(total_phase) * p - np.eye(d)))
     bound = m_count * math.sqrt(d * eps)

@@ -151,16 +151,15 @@ class EstimateReport:
     estimate: float
     std_err: float
     bias_bound: float
-    decoder: str
     params: dict = field(default_factory=dict)
 
 
-def hba_estimate(samples: SampleSet, x_star: str, t: int, background_weight: float | None = None) -> EstimateReport:
+def hba_estimate(samples: SampleSet, x_star: str, t: int) -> EstimateReport:
     """Hamming-ball aggregation: fraction of shots within distance t of x*.
 
     The estimate lower-bounds the peak weight under any <=t-flip noise, and
-    its upward bias is at most ``b |B_t|`` where b bounds the per-string
-    background mass (default ``2^-n``, the design-like background scale).
+    its upward bias is at most ``b |B_t|`` where b = ``2^-n`` bounds the
+    per-string background mass (the design-like background scale).
     """
     n = samples.n
     if not 0 <= t <= n:
@@ -169,12 +168,11 @@ def hba_estimate(samples: SampleSet, x_star: str, t: int, background_weight: flo
     est = float(hits.mean())
     n_shots = samples.indices.size
     se = math.sqrt(max(est * (1.0 - est), 0.0) / n_shots)
-    b = 2.0**-n if background_weight is None else background_weight
+    b = 2.0**-n
     return EstimateReport(
         estimate=est,
         std_err=se,
         bias_bound=b * hamming_ball_size(n, t),
-        decoder="hba",
         params={"t": t, "x_star": x_star, "shots": n_shots, "background_weight": b},
     )
 
@@ -237,6 +235,14 @@ def debias_depolarizing(p_prime: float, eps: float, n: int) -> DebiasResult:
 # sample-size planning
 
 
+CHERNOFF_DELTA = 1.0  # margin of the BSC ball radius over the mean flip count n r
+
+
+def bsc_radius(n: int, r: float) -> int:
+    """``ceil((1 + CHERNOFF_DELTA) n r)``: a ball that holds most of BSC(r)'s flips."""
+    return math.ceil((1.0 + CHERNOFF_DELTA) * n * r)
+
+
 class PlanResult(NamedTuple):
     n_samples: int
     hba_radius: int | None
@@ -250,16 +256,14 @@ def plan_samples(goal: str, **params) -> PlanResult:
 
     goals: ``majority`` (n, p_max, r, eta), ``center`` (n, p_max, t, eta),
     ``depolarizing`` (p_max, eps, alpha, fail, n).  When a flip rate r is
-    present the recommended ball radius ``ceil((1+delta_chernoff) n r)`` is
-    attached (delta_chernoff defaults to 1).
+    present the recommended ball radius ``bsc_radius(n, r)`` is attached.
     """
     radius = None
-    delta_chernoff = params.get("delta_chernoff", 1.0)
     if "r" in params and "n" in params:
         r = params["r"]
         if not 0.0 <= r < 0.5:
             raise ValueError("flip rate must lie in [0, 1/2)")
-        radius = math.ceil((1.0 + delta_chernoff) * params["n"] * r)
+        radius = bsc_radius(params["n"], r)
 
     if goal == "majority":
         n, p_max, r, eta = params["n"], params["p_max"], params["r"], params["eta"]
@@ -286,6 +290,57 @@ def plan_samples(goal: str, **params) -> PlanResult:
         raise ValueError(f"unknown planning goal {goal!r}")
 
     return PlanResult(int(math.ceil(count)), radius, formula, consts, dict(params))
+
+
+# ---------------------------------------------------------------------------
+# the verifier's decision
+
+
+class Verdict(NamedTuple):
+    decoded: str
+    estimate: float  # de-biased under global depolarizing noise
+    expected: float
+    tolerance: float
+    radius: int
+    report: EstimateReport
+    weight_ok: bool
+
+
+def verdict(samples: SampleSet, x_star: str, claimed: float, channel: NoiseModel | None = None,
+            decoder: str = "hba", t: int | None = None, tolerance: float | None = None) -> Verdict:
+    """Decode the shots and test their peak-weight estimate against the claim.
+
+    ``hba`` estimates around the known ``x_star``; ``majority`` and
+    ``center`` decode the string from the shots.  The channel sets the
+    default radius (``bsc_radius`` for BSC, ``T`` for t-sparse, else 0), the
+    expected estimate (``claimed * Pr[Binomial(n, r) <= t]`` under BSC(r),
+    else ``claimed``) and, under global depolarizing noise, the de-bias of
+    the estimate and its standard error.  The default tolerance is 3 scaled
+    standard errors plus the background bias bound, at least 1e-3.
+    """
+    n, expected, se_scale = samples.n, claimed, 1.0
+    if isinstance(channel, BSC):
+        t = bsc_radius(n, channel.r) if t is None else t
+        # the share of the peak's weight that BSC(r) keeps within radius t
+        expected *= _landing_prob_bsc(n, 0, channel.r, t)
+    elif t is None:
+        t = channel.t if isinstance(channel, TSparse) else 0
+
+    if decoder == "majority":
+        decoded = majority_decode(samples)
+    elif decoder == "center":
+        decoded, _ = hamming_center_decode(samples, max(t, 1))
+    elif decoder == "hba":
+        decoded = x_star
+    else:
+        raise ValueError(f"unknown decoder {decoder!r}")
+    report = hba_estimate(samples, decoded, t)
+    estimate = report.estimate
+    if isinstance(channel, GlobalDepolarizing):
+        estimate, se_scale, _ = debias_depolarizing(estimate, channel.eps, n)
+    if tolerance is None:
+        tolerance = max(3 * report.std_err * se_scale + report.bias_bound, 1e-3)
+    return Verdict(decoded, estimate, expected, tolerance, t, report, abs(estimate - expected) <= tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sim import (
-    N_MAX_DENSE,
+    N_MAX_STATEVECTOR,
     Circuit,
     Gate,
     StructureError,
@@ -168,27 +168,22 @@ class TVCheck(NamedTuple):
     peak_drop: float
 
 
-def tv_peakedness_check(
-    path: PerturbationPath,
-    theta: float,
-    x_star: str,
-    quad_const: float = 1.0,
-    n_max_dense: int = N_MAX_DENSE,
-) -> TVCheck:
-    """Exact output-distribution distance against ``2 m theta max|H| + c m theta^2``.
+def tv_peakedness_check(path: PerturbationPath, theta: float, x_star: str) -> TVCheck:
+    """Exact output-distribution distance against ``2 m theta max|H| + m theta^2``.
 
     The linear term alone is already a valid bound (each perturbed gate
     moves the operator by at most ``theta |H_j|``); the quadratic term is
-    reported slack, constant configurable.
+    reported slack.  The two distributions come from statevectors, so the
+    cap is ``N_MAX_STATEVECTOR``.
     """
-    if path.base.n > n_max_dense:
-        raise StructureError(f"exact distributions need n <= {n_max_dense}")
+    if path.base.n > N_MAX_STATEVECTOR:
+        raise StructureError(f"exact distributions need n <= {N_MAX_STATEVECTOR}")
     p = output_distribution(path.base)
     q = output_distribution(materialize(path, theta))
     tv = float(np.abs(p - q).sum())
     m = path.gate_count
     max_norm = float(path.op_norms.max()) if m else 0.0
-    bound = 2.0 * m * abs(theta) * max_norm + quad_const * m * theta**2
+    bound = 2.0 * m * abs(theta) * max_norm + m * theta**2
     ix = bit_index(x_star, path.base.n)
     return TVCheck(
         tv_distance=tv,

@@ -309,13 +309,6 @@ def output_distribution(circuit: Circuit, bits_in: str | None = None) -> np.ndar
     return state.probabilities()
 
 
-def peak_weight(circuit: Circuit, bits_in: str | None = None) -> tuple[float, str]:
-    """Largest outcome probability and its bit string."""
-    p = output_distribution(circuit, bits_in)
-    idx = int(np.argmax(p))
-    return float(p[idx]), index_bits(idx, circuit.n)
-
-
 def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | None = None) -> SampleSet:
     """I.i.d. outcome draws from ``|<x|U|in>|^2``; deterministic given seed."""
     if shots < 1:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .ensembles import PeakedInstance, haar_unitary
 from .sim import (
-    N_MAX_DENSE,
     N_MAX_STATEVECTOR,
     Circuit,
     Gate,
@@ -43,7 +42,6 @@ class StitchBlock:
     in_string: str
     out_string: str
     peakedness: float
-    source: PeakedInstance | None = None
 
     @property
     def leakage(self) -> float:
@@ -63,7 +61,7 @@ def retarget(instance: PeakedInstance, in_string: str, out_string: str | None = 
     gates += instance.circuit.gates
     out_mask = format(int(out_string, 2) ^ int(instance.peak_string, 2), f"0{n}b")
     gates += x_layer_gates(out_mask)
-    return StitchBlock(Circuit(n, gates), in_string, out_string, instance.peakedness, instance)
+    return StitchBlock(Circuit(n, gates), in_string, out_string, instance.peakedness)
 
 
 @dataclass(eq=False)
@@ -229,10 +227,7 @@ def _mergeable(target: Gate, other: Gate) -> bool:
     return set(other.wires) <= set(target.wires) and len(other.wires) <= 2
 
 
-def boundary_rewrite(
-    circuit: Circuit, seed=None, boundaries: Sequence[int] | None = None,
-    provenance: Sequence[frozenset[int]] | None = None,
-) -> RewriteResult:
+def boundary_rewrite(circuit: Circuit, seed=None, boundaries: Sequence[int] | None = None) -> RewriteResult:
     """Unitary-preserving rewrites that blur block seams.
 
     Two rules: adjacent gates merge whenever one's wires contain the
@@ -243,18 +238,15 @@ def boundary_rewrite(
     """
     rng = as_rng(seed)
     gates = list(circuit.gates)
-    if provenance is None:
-        if boundaries:
-            marks = []
-            block = -1
-            for idx in range(len(gates)):
-                if block + 1 < len(boundaries) and idx == boundaries[block + 1]:
-                    block += 1
-                marks.append(frozenset({block}))
-        else:
-            marks = [frozenset({0}) for _ in gates]
+    if boundaries:
+        marks = []
+        block = -1
+        for idx in range(len(gates)):
+            if block + 1 < len(boundaries) and idx == boundaries[block + 1]:
+                block += 1
+            marks.append(frozenset({block}))
     else:
-        marks = list(provenance)
+        marks = [frozenset({0}) for _ in gates]
 
     def merge_pass(gs, ms):
         out_g, out_m = [], []
@@ -314,8 +306,8 @@ def stitch_pattern_count(m: int, k: int) -> int:
     return math.comb(m - 1, k - 1)
 
 
-def verify_rewrite(original: Circuit, rewritten: Circuit, n_max_dense: int = N_MAX_DENSE) -> float:
+def verify_rewrite(original: Circuit, rewritten: Circuit) -> float:
     """Max-entry distance between the dense unitaries of the two circuits."""
-    u = full_unitary(original, n_max_dense)
-    v = full_unitary(rewritten, n_max_dense)
+    u = full_unitary(original)
+    v = full_unitary(rewritten)
     return float(np.abs(u - v).max())

@@ -360,3 +360,63 @@ def test_verify_out_of_range_shot_indices(tmp_path, capsys):
     assert run_cli("verify", "--private", priv_path, "--shots", shots_path) == 2
     err = capsys.readouterr().err
     assert err.startswith("peakedqc: ") and err.count("\n") == 1
+
+
+def test_depol_flag_is_the_depol_noise_spec(tmp_path, capsys):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=6, delta=0.999, seed=88)
+    shots_path = tmp_path / "depol.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 20000, "--noise", "depol:0.3",
+                   "--seed", 89, "--out", shots_path) == 0
+    verify = ("verify", "--private", priv_path, "--shots", shots_path, "--decoder", "hba")
+    assert run_cli(*verify, "--depol", 0.3, "--out", tmp_path / "flag.json") == 0
+    assert run_cli(*verify, "--noise", "depol:0.3", "--out", tmp_path / "spec.json") == 0
+    assert (tmp_path / "flag.json").read_bytes() == (tmp_path / "spec.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli(*verify, "--depol", 0.3, "--noise", "depol:0.3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
+
+
+def test_verify_tsparse_radius_defaults_from_channel(tmp_path):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=6, delta=0.999, seed=90)
+    shots_path = tmp_path / "tsparse.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 20000, "--noise", "tsparse:1",
+                   "--seed", 91, "--out", shots_path) == 0
+    out = tmp_path / "verdict.json"
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path,
+                   "--noise", "tsparse:1", "--out", out) == 0
+    assert read_json(out)["hba_radius"] == 1
+
+
+def _public_as_private(tmp_path, pub, priv, shots):
+    return ("verify", "--private", pub, "--shots", shots)
+
+
+def _private_not_json(tmp_path, pub, priv, shots):
+    bad = tmp_path / "bad.private.json"
+    bad.write_text('{"n": 4, "peak_string": ')
+    return ("verify", "--private", bad, "--shots", shots)
+
+
+def _shots_json_without_n(tmp_path, pub, priv, shots):
+    bad = tmp_path / "shots.json"
+    bad.write_text('{"shots": ["0101", "0110"]}')
+    return ("verify", "--private", priv, "--shots", bad)
+
+
+def _challenge_without_circuit(tmp_path, pub, priv, shots):
+    bad = tmp_path / "nocircuit.json"
+    bad.write_text('{"n": 4, "commitment": "00"}')
+    return ("sample", "--challenge", bad, "--out", tmp_path / "s.txt")
+
+
+@pytest.mark.parametrize("case", [_public_as_private, _private_not_json, _shots_json_without_n,
+                                  _challenge_without_circuit])
+def test_malformed_files_exit_2(tmp_path, capsys, case):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=4, seed=92)
+    shots_path = tmp_path / "good.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 10, "--out", shots_path) == 0
+    capsys.readouterr()
+    assert run_cli(*case(tmp_path, pub_path, priv_path, shots_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1

@@ -282,3 +282,19 @@ def test_center_and_majority_match_per_shot_reference(seed, t):
     assert hamming_center_decode(s, t) == _center_reference(s.shots, t)
     means = _bit_rows(s.shots).mean(axis=0)
     assert majority_decode(s) == "".join("1" if m >= 0.5 else "0" for m in means)
+
+
+
+@pytest.mark.parametrize("channel, radius", [(None, 0), (BSC(0.05), 1), (TSparse(1), 1), (GlobalDepolarizing(0.3), 0)],
+                         ids=["none", "bsc", "tsparse", "depol"])
+def test_verdict_accepts_honest_and_rejects_uniform(channel, radius):
+    # the channel alone sets the radius, the expected weight and the de-bias
+    n, p_max, x_star, shots = 6, 0.9, "101101", 5000
+    honest = planted_sampleset(n, p_max, x_star, shots, seed=90)
+    if channel is not None:
+        honest = apply_noise(honest, channel, seed=91)
+    uniform = SampleSet(n, as_rng(92).integers(0, 1 << n, shots))
+    for decoder in ("hba", "majority", "center"):
+        v = noise.verdict(honest, x_star, p_max, channel, decoder)
+        assert v.decoded == x_star and v.weight_ok and v.radius == radius, (decoder, v)
+        assert not noise.verdict(uniform, x_star, p_max, channel, decoder).weight_ok

@@ -139,6 +139,13 @@ def test_tv_bound_holds(theta):
     assert chk.tv_distance <= 2 * 6 * theta * path.op_norms.max() + 1e-12
 
 
+def test_tv_check_above_dense_cap():
+    # two statevectors, no dense unitary: n = 13 is above N_MAX_DENSE = 12
+    path = make_path(random_brickwall(13, 1, seed=18), random_brickwall(13, 1, seed=19))
+    chk = tv_peakedness_check(path, 1e-2, "0" * 13)
+    assert chk.holds and chk.tv_distance > 0.0
+
+
 def test_small_theta_keeps_peak():
     # a peaked base stays peaked: drop at most the TV bound
     from peakedqc.ensembles import conditioned_generate
