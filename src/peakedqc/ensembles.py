@@ -104,7 +104,8 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = as_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z = np.empty((dim, dim), dtype=complex)
+    z.real, z.imag = rng.standard_normal((2, dim, dim))  # the real parts are drawn first
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))

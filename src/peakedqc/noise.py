@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sim import SampleSet, as_rng, bit_index, pack_bits, unpack_bits
+from .sim import SampleSet, StructureError, as_rng, bit_index, pack_bits, unpack_bits
 
 # Calibrated on the reference scenario by bisection to the smallest value
 # meeting the 1-eta success target, then rounded up (see tests).
@@ -134,7 +134,7 @@ def apply_noise(samples: SampleSet, model: NoiseModel, seed=None) -> SampleSet:
 def hamming_ball_size(n: int, t: int) -> int:
     """``|B_t| = sum_{h<=t} C(n, h)``, exact."""
     if not 0 <= t <= n:
-        raise ValueError("radius must lie in [0, n]")
+        raise StructureError(f"radius {t} must lie in [0, n = {n}]")
     return sum(math.comb(n, h) for h in range(t + 1))
 
 
@@ -162,8 +162,7 @@ def hba_estimate(samples: SampleSet, x_star: str, t: int) -> EstimateReport:
     per-string background mass (the design-like background scale).
     """
     n = samples.n
-    if not 0 <= t <= n:
-        raise ValueError("radius must lie in [0, n]")
+    ball = hamming_ball_size(n, t)  # raises for a radius outside [0, n]
     hits = hamming_distances(samples, x_star) <= t
     est = float(hits.mean())
     n_shots = samples.indices.size
@@ -172,7 +171,7 @@ def hba_estimate(samples: SampleSet, x_star: str, t: int) -> EstimateReport:
     return EstimateReport(
         estimate=est,
         std_err=se,
-        bias_bound=b * hamming_ball_size(n, t),
+        bias_bound=b * ball,
         params={"t": t, "x_star": x_star, "shots": n_shots, "background_weight": b},
     )
 
@@ -217,8 +216,8 @@ class DebiasResult(NamedTuple):
     clamped: bool
 
 
-def debias_depolarizing(p_prime: float, eps: float, n: int) -> DebiasResult:
-    """Invert the uniform admixture: ``p = (p' - eps/2^n) / (1 - eps)``.
+def debias_depolarizing(p_prime: float, eps: float, n: int, t: int = 0) -> DebiasResult:
+    """Invert the uniform admixture in a radius-t ball: ``p = (p' - eps |B_t|/2^n) / (1 - eps)``.
 
     The standard error of the raw estimate inflates by ``1/(1-eps)``.
     """
@@ -226,7 +225,7 @@ def debias_depolarizing(p_prime: float, eps: float, n: int) -> DebiasResult:
         raise ValueError("eps = 1 is a degenerate channel: the peak signal is gone")
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
-    raw = (p_prime - eps / 2.0**n) / (1.0 - eps)
+    raw = (p_prime - eps * hamming_ball_size(n, t) / 2.0**n) / (1.0 - eps)
     clamped = not 0.0 <= raw <= 1.0
     return DebiasResult(min(max(raw, 0.0), 1.0), 1.0 / (1.0 - eps), clamped)
 
@@ -337,7 +336,7 @@ def verdict(samples: SampleSet, x_star: str, claimed: float, channel: NoiseModel
     report = hba_estimate(samples, decoded, t)
     estimate = report.estimate
     if isinstance(channel, GlobalDepolarizing):
-        estimate, se_scale, _ = debias_depolarizing(estimate, channel.eps, n)
+        estimate, se_scale, _ = debias_depolarizing(estimate, channel.eps, n, t)
     if tolerance is None:
         tolerance = max(3 * report.std_err * se_scale + report.bias_bound, 1e-3)
     return Verdict(decoded, estimate, expected, tolerance, t, report, abs(estimate - expected) <= tolerance)

@@ -11,7 +11,7 @@ Replacing each exponential by its degree-K Taylor polynomial makes every
 output amplitude a polynomial of degree ``m*K`` in theta (so probabilities
 have degree ``2mK``), which is what lets peak weights measured at small
 theta be extrapolated to the far endpoint.  Truncated gates are not
-unitary; they are tagged accordingly and simulated as plain matrices.
+unitary; they are simulated as plain matrices.
 """
 from __future__ import annotations
 
@@ -155,7 +155,7 @@ def materialize_truncated(tpath: TruncatedPath, theta: float) -> TruncatedMateri
         for i in range(1, K + 1):
             term = (term @ h) * (-1j * theta / i)
             acc = acc + term
-        gates.append(Gate(g.wires, g.matrix @ acc, unitary=False))
+        gates.append(Gate(g.wires, g.matrix @ acc))
     return TruncatedMaterialization(Circuit(path.base.n, gates), bounds)
 
 

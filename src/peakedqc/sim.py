@@ -11,6 +11,8 @@ Conventions used throughout the package:
   gates may instead carry 15 real coefficients for the fixed Pauli-product
   generator basis (see :func:`su4_gate`); the matrix is materialized at
   construction time.
+* Matrices built in memory are trusted; :func:`gate_from_json` checks each
+  one read from a file once (finite, unitary within ``UNITARITY_TOL``).
 
 Every gate goes through :func:`_apply_matrix`, which views the buffer as
 ``(L, D, R)`` for contiguous ascending wires and folds a small ``R`` into
@@ -74,8 +76,8 @@ SU4_BASIS = two_qubit_pauli_basis()
 def su4_gate(params: Sequence[float]) -> np.ndarray:
     """``exp(-i sum_k params[k] P_k)`` over the fixed two-qubit Pauli basis."""
     params = np.asarray(params, dtype=float)
-    if params.shape != (15,):
-        raise StructureError(f"expected 15 generator coefficients, got shape {params.shape}")
+    if params.shape != (15,) or not np.isfinite(params).all():
+        raise StructureError(f"expected 15 finite generator coefficients, got shape {params.shape}")
     h = np.tensordot(params, SU4_BASIS, axes=1)
     w, q = np.linalg.eigh(h)
     return (q * np.exp(-1j * w)) @ q.conj().T
@@ -89,14 +91,13 @@ def su4_gate(params: Sequence[float]) -> np.ndarray:
 class Gate:
     """A ``k``-wire gate with an explicit ``2^k x 2^k`` matrix.
 
-    ``unitary=False`` skips the unitarity check; it is meant for the
-    deliberately non-unitary gates of Taylor-truncated interpolation paths.
+    Only wires and shape are checked: matrices built in memory are trusted,
+    and Taylor-truncated path gates are deliberately not unitary.
     """
 
     wires: tuple[int, ...]
     matrix: np.ndarray
     params: np.ndarray | None = None
-    unitary: bool = True
 
     def __post_init__(self):
         self.wires = tuple(int(w) for w in self.wires)
@@ -109,21 +110,14 @@ class Gate:
         self.matrix = np.asarray(self.matrix, dtype=complex)
         dim = 1 << len(self.wires)
         if self.matrix.shape != (dim, dim):
-            raise StructureError(
-                f"matrix shape {self.matrix.shape} does not match {len(self.wires)} wires"
-            )
-        if self.unitary:
-            defect = np.abs(self.matrix.conj().T @ self.matrix - np.eye(dim)).max()
-            if defect > UNITARITY_TOL:
-                raise StructureError(f"gate matrix is not unitary (defect {defect:.3e})")
+            raise StructureError(f"matrix shape {self.matrix.shape} does not match {len(self.wires)} wires")
 
     @classmethod
     def from_params(cls, wires: Iterable[int], params: Sequence[float]) -> "Gate":
-        params = np.asarray(params, dtype=float)
         return cls(tuple(wires), su4_gate(params), params=params)
 
     def dagger(self) -> "Gate":
-        return Gate(self.wires, self.matrix.conj().T, unitary=self.unitary)
+        return Gate(self.wires, self.matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -324,12 +318,10 @@ def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | N
     return SampleSet(circuit.n, idx, info)
 
 
-def full_unitary(circuit: Circuit, n_max_dense: int = N_MAX_DENSE) -> np.ndarray:
+def full_unitary(circuit: Circuit) -> np.ndarray:
     """Dense ``d x d`` matrix of the circuit; column ``x`` is ``U|x>``."""
-    if circuit.n > n_max_dense:
-        raise DenseCapError(
-            f"dense unitary for n={circuit.n} exceeds the n_max_dense={n_max_dense} cap"
-        )
+    if circuit.n > N_MAX_DENSE:
+        raise DenseCapError(f"dense unitary for n={circuit.n} exceeds the N_MAX_DENSE={N_MAX_DENSE} cap")
     d = 1 << circuit.n
     return _run_gates(np.eye(d, dtype=complex), (2,) * circuit.n + (d,), circuit.gates)
 
@@ -387,11 +379,14 @@ def spawn_rngs(seed, count: int) -> list[np.random.Generator]:
 
 
 def _matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in matrix.ravel()]
+    return np.stack([matrix.real, matrix.imag], -1).reshape(-1, 2).tolist()
 
 
 def _pairs_to_matrix(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs])
+    try:
+        flat = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError):
+        raise StructureError("matrix entries must be [re, im] pairs") from None
     dim = math.isqrt(flat.size)
     if dim * dim != flat.size:
         raise StructureError(f"matrix entry list of length {flat.size} is not square")
@@ -405,10 +400,17 @@ def gate_to_json(gate: Gate) -> dict:
 
 
 def gate_from_json(obj: dict) -> Gate:
+    """A gate read from a file: the one place a gate matrix is checked to be unitary."""
+    if not isinstance(obj, dict) or "wires" not in obj or not ("matrix" in obj or "params" in obj):
+        raise StructureError("a gate needs wires and a matrix or params")
     wires = tuple(obj["wires"])
     if "params" in obj:
         return Gate.from_params(wires, obj["params"])
-    return Gate(wires, _pairs_to_matrix(obj["matrix"]))
+    m = _pairs_to_matrix(obj["matrix"])
+    defect = np.abs(m.conj().T @ m - np.eye(len(m))).max() if np.isfinite(m).all() else np.inf
+    if not defect <= UNITARITY_TOL:
+        raise StructureError(f"gate matrix on wires {wires} is not unitary (defect {defect:.3e})")
+    return Gate(wires, m)
 
 
 def circuit_to_json(circuit: Circuit) -> dict:
@@ -423,6 +425,8 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> Circuit:
+    if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
+        raise StructureError("a circuit needs n and gates")
     arch = obj.get("architecture")
     architecture = None
     if arch is not None:

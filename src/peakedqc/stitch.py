@@ -27,6 +27,7 @@ from .sim import (
     Circuit,
     Gate,
     StructureError,
+    _apply_matrix,
     amplitude,
     as_rng,
     full_unitary,
@@ -217,8 +218,9 @@ class RewriteResult(NamedTuple):
 
 def _embed(matrix: np.ndarray, small: tuple[int, ...], big: tuple[int, ...]) -> np.ndarray:
     """Lift a gate matrix on wires ``small`` to the wire tuple ``big``."""
-    local = Gate(tuple(big.index(w) for w in small), matrix, unitary=False)
-    return full_unitary(Circuit(len(big), [local]), n_max_dense=len(big))
+    lifted = np.eye(1 << len(big), dtype=complex)
+    _apply_matrix(lifted.reshape((2,) * len(big) + (-1,)), tuple(big.index(w) for w in small), matrix)
+    return lifted
 
 
 def _mergeable(target: Gate, other: Gate) -> bool:
@@ -248,39 +250,31 @@ def boundary_rewrite(circuit: Circuit, seed=None, boundaries: Sequence[int] | No
     else:
         marks = [frozenset({0}) for _ in gates]
 
-    def merge_pass(gs, ms):
-        out_g, out_m = [], []
-        for g, m in zip(gs, ms):
-            if out_g and _mergeable(out_g[-1], g):
-                prev = out_g[-1]
-                merged = _embed(g.matrix, g.wires, prev.wires) @ prev.matrix
-                out_g[-1] = Gate(prev.wires, merged, unitary=g.unitary and prev.unitary)
-                out_m[-1] = out_m[-1] | m
-            elif out_g and _mergeable(g, out_g[-1]):
-                prev = out_g[-1]
-                merged = g.matrix @ _embed(prev.matrix, prev.wires, g.wires)
-                out_g[-1] = Gate(g.wires, merged, unitary=g.unitary and prev.unitary)
-                out_m[-1] = out_m[-1] | m
-            else:
-                out_g.append(g)
-                out_m.append(m)
-        return out_g, out_m
-
-    gates, marks = merge_pass(gates, marks)
+    # merging: a gate absorbs its neighbour when its wires contain the neighbour's
+    merged_g, merged_m = [], []
+    for g, m in zip(gates, marks):
+        prev = merged_g[-1] if merged_g else None
+        if prev is not None and _mergeable(prev, g):
+            merged_g[-1] = Gate(prev.wires, _embed(g.matrix, g.wires, prev.wires) @ prev.matrix)
+        elif prev is not None and _mergeable(g, prev):
+            merged_g[-1] = Gate(g.wires, g.matrix @ _embed(prev.matrix, prev.wires, g.wires))
+        else:
+            merged_g.append(g)
+            merged_m.append(m)
+            continue
+        merged_m[-1] = merged_m[-1] | m
 
     # seam blending: split an identity R^dag R across each provenance change
     blended_g, blended_m = [], []
-    for g, m in zip(gates, marks):
+    for g, m in zip(merged_g, merged_m):
         if blended_g and blended_m[-1] != m:
             prev = blended_g[-1]
             wires = _pick_pair(prev.wires, g.wires, rng)
             if wires is not None:
                 r = haar_unitary(1 << len(wires), rng)
-                left = _embed(r, wires, prev.wires) @ prev.matrix
-                right = g.matrix @ _embed(r.conj().T, wires, g.wires)
-                blended_g[-1] = Gate(prev.wires, left, unitary=prev.unitary)
+                blended_g[-1] = Gate(prev.wires, _embed(r, wires, prev.wires) @ prev.matrix)
                 blended_m[-1] = blended_m[-1] | m
-                g = Gate(g.wires, right, unitary=g.unitary)
+                g = Gate(g.wires, g.matrix @ _embed(r.conj().T, wires, g.wires))
                 m = m | blended_m[-1]
         blended_g.append(g)
         blended_m.append(m)

@@ -420,3 +420,61 @@ def test_malformed_files_exit_2(tmp_path, capsys, case):
     assert run_cli(*case(tmp_path, pub_path, priv_path, shots_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("peakedqc: ") and err.count("\n") == 1
+
+
+def _scale_matrix(gate):
+    gate["matrix"] = [[1.01 * re, 1.01 * im] for re, im in gate["matrix"]]
+
+
+def _nan_entry(gate):
+    gate["matrix"][0][0] = float("nan")
+
+
+def _drop_wires(gate):
+    del gate["wires"]
+
+
+def _three_number_entry(gate):
+    gate["matrix"][0].append(0.0)
+
+
+def tampered(path, out, edit):
+    """A copy of the challenge file at ``path`` with ``edit`` applied to its first gate."""
+    obj = read_json(path)
+    edit(obj["circuit"]["gates"][0])
+    out.write_text(json.dumps(obj))
+    return out
+
+
+@pytest.mark.parametrize("edit", [_scale_matrix, _nan_entry, _drop_wires, _three_number_entry])
+def test_sample_rejects_malformed_gate(tmp_path, capsys, edit):
+    pub_path, _ = gen_conditioned(tmp_path, n=4, seed=93)
+    bad = tampered(pub_path, tmp_path / "bad.public.json", edit)
+    capsys.readouterr()
+    assert run_cli("sample", "--challenge", bad, "--shots", 10, "--out", tmp_path / "s.txt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_perturb_and_stitch_reject_non_unitary_gates(tmp_path, capsys):
+    _, priv_a = gen_conditioned(tmp_path, name="a", n=3, seed=94)
+    _, priv_b = gen_conditioned(tmp_path, name="b", n=3, seed=95)
+    bad = tampered(priv_a, tmp_path / "bad.private.json", _scale_matrix)
+    capsys.readouterr()
+    assert run_cli("perturb", "--base", bad, "--target", priv_b) == 2
+    assert run_cli("gen", "--method", "stitched", "--blocks", priv_b, bad,
+                   "--seed", 96, "--out-prefix", tmp_path / "st") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("peakedqc: ") and "not unitary" in line for line in err)
+
+
+@pytest.mark.parametrize("radius", [("--noise", "tsparse:5"), ("--t", 7), ("--t", -1)])
+def test_verify_radius_outside_0_n_exits_2(tmp_path, capsys, radius):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=4, seed=97)
+    shots_path = tmp_path / "s.txt"
+    assert run_cli("sample", "--challenge", pub_path, "--shots", 10, "--out", shots_path) == 0
+    capsys.readouterr()
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path, *radius) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: radius") and err.count("\n") == 1

@@ -118,6 +118,15 @@ def test_conditioned_exact_delta():
     assert np.abs(p - full_unitary(inst.circuit)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_conditioned_factors_and_instance_are_unitary(n):
+    inst = conditioned_generate(n, 0.9, seed=40 + n)
+    eye = np.eye(1 << n)
+    for circ in (*inst.factors, inst.circuit):
+        (g,) = circ.gates
+        assert np.abs(g.matrix.conj().T @ g.matrix - eye).max() < 1e-12
+
+
 def test_hs_overlap_self_is_d_squared():
     circ = random_brickwall(3, 2, seed=4)
     tsq, hs = hs_overlap(circ, circ)

@@ -194,6 +194,23 @@ def test_debias_values():
         debias_depolarizing(0.5, 1.0, 4)
 
 
+def test_depol_debias_at_radius_0_subtracts_one_string():
+    assert debias_depolarizing(0.3, 0.2, 5).estimate == (0.3 - 0.2 / 2.0**5) / (1.0 - 0.2)
+    assert debias_depolarizing(0.3, 0.2, 5, 0) == debias_depolarizing(0.3, 0.2, 5)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_depol_debias_subtracts_the_whole_ball(t):
+    # a radius-t ball holds |B_t|/2^n of the uniform admixture, and of the
+    # planted background (1 - p) spread over the 63 other strings
+    n, p, eps, x_star = 6, 0.9, 0.7, "101100"
+    s = planted_sampleset(n, p, x_star, 200_000, seed=60 + t)
+    noisy = apply_noise(s, GlobalDepolarizing(eps), seed=70 + t)
+    v = noise.verdict(noisy, x_star, p, GlobalDepolarizing(eps), "hba", t)
+    expected = p + (1 - p) * (hamming_ball_size(n, t) - 1) / 63
+    assert abs(v.estimate - expected) <= 4 * v.report.std_err / (1 - eps)
+
+
 def test_debias_unbiased_over_runs():
     n, p_max, eps = 10, 0.5, 0.3
     x_star = index_bits(77, n)

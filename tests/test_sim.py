@@ -1,4 +1,5 @@
 """Core simulator: gate application, amplitudes, sampling, embeddings."""
+import json
 import math
 import string
 
@@ -131,7 +132,7 @@ def _kernel_circuit(n, wires, seed):
     dim = 1 << len(wires)
     odd = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2 * dim)
     gates = random_brickwall(n, 3, seed=rng).gates
-    return Circuit(n, gates[:5] + [Gate(wires, odd, unitary=False)] + gates[5:])
+    return Circuit(n, gates[:5] + [Gate(wires, odd)] + gates[5:])
 
 
 @pytest.mark.parametrize("n, wires", [(n, w) for n in (5, 14) for w in _layouts(n) if len(w) <= 12])
@@ -169,8 +170,8 @@ def test_full_unitary_is_unitary():
 
 
 def test_full_unitary_cap():
-    with pytest.raises(DenseCapError, match="n_max_dense=3"):
-        full_unitary(Circuit(4), n_max_dense=3)
+    with pytest.raises(DenseCapError, match="N_MAX_DENSE"):
+        full_unitary(Circuit(sim.N_MAX_DENSE + 1))
 
 
 def test_sampling_identity_circuit():
@@ -232,11 +233,46 @@ def test_controlled_embedding_exact_halving(n):
 
 def test_gate_validation():
     with pytest.raises(StructureError, match="not unitary"):
-        Gate((0,), np.array([[1, 0], [0, 2]]))
+        sim.gate_from_json({"wires": [0], "matrix": [[1, 0], [0, 0], [0, 0], [2, 0]]})
     with pytest.raises(StructureError, match="distinct"):
         Gate((1, 1), np.eye(4))
     with pytest.raises(StructureError, match="invalid"):
         Circuit(2, [Gate((0, 2), np.eye(4))])
+
+
+@pytest.mark.parametrize("gate", [
+    {"wires": [0], "matrix": [[1.01, 0], [0, 0], [0, 0], [1.01, 0]]},
+    {"wires": [0], "matrix": [[float("nan"), 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": [0], "matrix": [[float("inf"), 0], [0, 0], [0, 0], [1, 0]]},
+    {"matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": [0]},
+    {"wires": [0], "matrix": [[1, 0, 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": [0, 1], "params": [float("nan")] + [0.0] * 14},
+    [0, 1],
+])
+def test_gate_from_json_rejects_malformed(gate):
+    with pytest.raises(StructureError):
+        circuit_from_json({"n": 2, "gates": [gate]})
+
+
+@pytest.mark.parametrize("obj", [{"gates": []}, {"n": 2}, [2, []]])
+def test_circuit_from_json_needs_n_and_gates(obj):
+    with pytest.raises(StructureError, match="n and gates"):
+        circuit_from_json(obj)
+
+
+def test_random_brickwall_gates_are_unitary():
+    for g in random_brickwall(6, 6, seed=4).gates:
+        assert np.abs(g.matrix.conj().T @ g.matrix - np.eye(4)).max() < 1e-12
+
+
+def test_matrix_pairs_match_entrywise_encoding():
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    m[0, 0], m[1, 1] = -0.0, complex(0.0, -0.0)
+    loop = [[float(z.real), float(z.imag)] for z in m.ravel()]
+    assert json.dumps(sim._matrix_to_pairs(m)) == json.dumps(loop)
+    assert np.array_equal(sim._pairs_to_matrix(loop), m)
 
 
 def test_brickwall_pattern_validation():

@@ -199,6 +199,23 @@ def test_rewrite_preserves_unitary_and_blurs_seams():
     assert any(len(m) > 1 for m in marks)
 
 
+def test_rewrite_gates_stay_unitary():
+    rng = np.random.default_rng(16)
+    insts = [
+        conditioned_generate(4, 0.9, x_star=format(rng.integers(1, 16), "04b"), seed=300 + j)
+        for j in range(3)
+    ]
+    circ, _, boundaries = stitch_blocks(make_plan(insts))
+    first = random_brickwall(4, 3, seed=17).gates + x_layer_gates("0011")
+    brick = Circuit(4, first + random_brickwall(4, 3, seed=18).gates)
+    for c, b in ((circ, boundaries), (brick, [0, len(first)])):
+        res = boundary_rewrite(c, seed=19, boundaries=b)
+        assert len(res.circuit.gates) < len(c.gates)  # merges happened
+        for g in res.circuit.gates:
+            eye = np.eye(len(g.matrix))
+            assert np.abs(g.matrix.conj().T @ g.matrix - eye).max() < 1e-12
+
+
 def test_pattern_count_exact():
     assert stitch_pattern_count(5, 1) == 1
     assert stitch_pattern_count(5, 3) == 6  # C(4, 2)
