@@ -50,12 +50,6 @@ class LogNumber:
         hi, lo = max(self.log, other.log), min(self.log, other.log)
         return LogNumber(hi + math.log1p(math.exp(lo - hi)))
 
-    def __lt__(self, other: "LogNumber") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogNumber") -> bool:
-        return self.log <= other.log
-
 
 @dataclass(frozen=True)
 class BoundConstants:

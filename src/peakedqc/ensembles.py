@@ -173,20 +173,22 @@ def postselect_generate(
     raise PostselectExhausted(max_trials, delta_target)
 
 
-def _complete_unitary(column: np.ndarray) -> np.ndarray:
-    """Some unitary whose first column equals ``column`` exactly."""
-    d = column.shape[0]
-    pivot = int(np.argmax(np.abs(column)))
-    cols = np.zeros((d, d), dtype=complex)
-    cols[:, 0] = column
-    j = 1
-    for i in range(d):
-        if i != pivot:
-            cols[i, j] = 1.0
-            j += 1
-    q, r = np.linalg.qr(cols)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+def _complete_unitary(column: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A unitary with first column ``column``: ``Q diag(1, block)`` in O(d^2).
+
+    ``Q = I - 2 v v^dag / v^dag v`` sends ``e_0`` to ``column`` up to a phase;
+    ``v`` is ``e_0`` plus ``column`` turned to a real ``v[0] >= 1``, so the sum
+    does not cancel.  A Haar ``block`` makes the completion Haar (Mezzadri,
+    math-ph/0609050).
+    """
+    first = column[0]
+    v = column * (first.conjugate() / abs(first) if first else 1.0)
+    v[0] += 1.0
+    out = np.zeros((column.size, column.size), dtype=complex)
+    out[1:, 1:] = block
+    out[:, 1:] -= np.outer(v, (2.0 / np.vdot(v, v).real) * (v[1:].conj() @ block))
+    out[:, 0] = column
+    return out
 
 
 def conditioned_generate(
@@ -225,8 +227,7 @@ def conditioned_generate(
     phase = np.exp(2j * np.pi * rng.uniform())
     aligned = math.sqrt(delta) * phase * c_col + math.sqrt(1.0 - delta) * w
 
-    cp_mat = _complete_unitary(aligned)
-    cp_mat[:, 1:] = cp_mat[:, 1:] @ haar_unitary(d - 1, rng)
+    cp_mat = _complete_unitary(aligned, haar_unitary(d - 1, rng))
     if ix != 0:
         cp_mat[:, [0, ix]] = cp_mat[:, [ix, 0]]
 

@@ -43,24 +43,23 @@ class IllConditionedNodes(ValueError):
     """
 
 
-def _unitary_log_generator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unitary_log_generator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenphases and frame of a unitary: ``u = Z diag(exp(i phi)) Z^dag``.
 
-    Schur on a normal matrix yields a unitary frame even with degenerate
-    eigenvalues (plain eig does not).  Phases take the principal branch
-    ``(-pi, pi]``; an eigenvalue within ``BRANCH_CUT_TOL`` of -1 sits on
-    the cut, which is reported but resolved deterministically to ``+pi``.
+    A normal matrix's eigenvectors for distinct eigenvalues are orthogonal, so
+    the QR of eig's eigenvectors only re-orthonormalises degenerate eigenspaces.
+    Phases take the principal branch ``(-pi, pi]``; an eigenvalue within
+    ``BRANCH_CUT_TOL`` of -1 sits on the cut, reported and resolved to ``+pi``.
     """
-    import scipy.linalg  # imported here: it dominates the CLI's start-up time
-
-    t, z = scipy.linalg.schur(u, output="complex")
-    phases = np.angle(np.diagonal(t))
-    if np.any(np.pi - np.abs(phases) < BRANCH_CUT_TOL):
-        warnings.warn(
-            "matrix-log eigenvalue on the branch cut (at -1); using phase +pi",
-            RuntimeWarning,
-        )
-    return phases, z, t
+    eigenvalues, vectors = np.linalg.eig(u)
+    z, _ = np.linalg.qr(vectors)
+    phases = np.angle(eigenvalues)
+    on_cut = np.pi - np.abs(phases) < BRANCH_CUT_TOL
+    if on_cut.any():
+        warnings.warn("matrix-log eigenvalue on the branch cut (at -1); using phase +pi",
+                      RuntimeWarning)
+        phases[on_cut] = np.pi
+    return phases, z
 
 
 @dataclass(eq=False)
@@ -90,7 +89,7 @@ def make_path(base: Circuit, target: Circuit) -> PerturbationPath:
         if g.wires != gs.wires:
             raise StructureError(f"gate wires differ along the path: {g.wires} vs {gs.wires}")
         u = g.matrix.conj().T @ gs.matrix  # G^{-1} G*
-        phases, z, _ = _unitary_log_generator(u)
+        phases, z = _unitary_log_generator(u)
         h = (z * (-phases)) @ z.conj().T  # H = i log(U), Hermitian
         h = 0.5 * (h + h.conj().T)
         generators.append(h)

@@ -157,10 +157,6 @@ class Circuit:
             if actual != expected:
                 raise StructureError("gate order does not match the brickwall layer pattern")
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
 
 @dataclass(eq=False)
 class StateVector:
@@ -399,11 +395,19 @@ def gate_to_json(gate: Gate) -> dict:
     return {"wires": list(gate.wires), "matrix": _matrix_to_pairs(gate.matrix)}
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if a file gave an integer there (JSON ``true`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructureError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def gate_from_json(obj: dict) -> Gate:
     """A gate read from a file: the one place a gate matrix is checked to be unitary."""
-    if not isinstance(obj, dict) or "wires" not in obj or not ("matrix" in obj or "params" in obj):
-        raise StructureError("a gate needs wires and a matrix or params")
-    wires = tuple(obj["wires"])
+    if not (isinstance(obj, dict) and isinstance(obj.get("wires"), list)
+            and ("matrix" in obj or "params" in obj)):
+        raise StructureError("a gate needs a wires list and a matrix or params")
+    wires = tuple(_json_int(w, "a gate wire") for w in obj["wires"])
     if "params" in obj:
         return Gate.from_params(wires, obj["params"])
     m = _pairs_to_matrix(obj["matrix"])
@@ -425,12 +429,13 @@ def circuit_to_json(circuit: Circuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> Circuit:
-    if not isinstance(obj, dict) or "n" not in obj or "gates" not in obj:
+    if not isinstance(obj, dict) or "n" not in obj or not isinstance(obj.get("gates"), list):
         raise StructureError("a circuit needs n and gates")
     arch = obj.get("architecture")
     architecture = None
     if arch is not None:
-        if arch.get("type") != "brickwall":
-            raise StructureError(f"unknown architecture type {arch.get('type')!r}")
-        architecture = Brickwall(int(arch["depth"]))
-    return Circuit(int(obj["n"]), [gate_from_json(g) for g in obj["gates"]], architecture)
+        if not isinstance(arch, dict) or arch.get("type") != "brickwall":
+            raise StructureError(f"unknown architecture {arch!r}")
+        architecture = Brickwall(_json_int(arch.get("depth"), "brickwall depth"))
+    n = _json_int(obj["n"], "circuit n")
+    return Circuit(n, [gate_from_json(g) for g in obj["gates"]], architecture)

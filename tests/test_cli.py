@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ def test_cli_import_skips_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
     assert out.stdout.strip() == "False"
+
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+        from peakedqc.ensembles import random_brickwall
+        from peakedqc.perturb import make_path, materialize, path_from_json, path_to_json
+        path = make_path(random_brickwall(4, 4, seed=1), random_brickwall(4, 4, seed=2))
+        materialize(path, 0.5)
+        path_from_json(path_to_json(path))
+        print("ok")
+    """)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0 and out.stdout.strip() == "ok", out.stderr
 
 
 def test_stitch_subcommand(tmp_path):
@@ -438,6 +453,10 @@ def _three_number_entry(gate):
     gate["matrix"][0].append(0.0)
 
 
+def _string_wires(gate):
+    gate["wires"] = "ab"
+
+
 def tampered(path, out, edit):
     """A copy of the challenge file at ``path`` with ``edit`` applied to its first gate."""
     obj = read_json(path)
@@ -446,7 +465,8 @@ def tampered(path, out, edit):
     return out
 
 
-@pytest.mark.parametrize("edit", [_scale_matrix, _nan_entry, _drop_wires, _three_number_entry])
+@pytest.mark.parametrize("edit", [_scale_matrix, _nan_entry, _drop_wires, _three_number_entry,
+                                  _string_wires])
 def test_sample_rejects_malformed_gate(tmp_path, capsys, edit):
     pub_path, _ = gen_conditioned(tmp_path, n=4, seed=93)
     bad = tampered(pub_path, tmp_path / "bad.public.json", edit)

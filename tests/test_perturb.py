@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peakedqc import perturb
-from peakedqc.ensembles import random_brickwall
+from peakedqc.ensembles import haar_unitary, random_brickwall
 from peakedqc.perturb import (
     IllConditionedNodes,
     TruncatedPath,
@@ -45,6 +45,43 @@ def test_identity_to_x_single_qubit():
     # eigendecomposition oracle: generator phases must be {0, pi}
     phases = np.linalg.eigvalsh(path.generators[0])
     assert np.allclose(np.sort(np.abs(phases)), [0.0, math.pi], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_branch_cut_resolves_to_plus_pi(seed):
+    # G -> -G has both eigenvalues of G^dag (-G) at -1; for a Haar G rounding
+    # puts them on either side of the cut
+    g = np.eye(2) if seed is None else haar_unitary(2, seed)
+    base = Circuit(1, [Gate((0,), g)])
+    with pytest.warns(RuntimeWarning, match="branch cut"):
+        make_path(base, Circuit(1, [Gate((0,), g @ PAULI_X)]))
+    with pytest.warns(RuntimeWarning, match="branch cut"):
+        path = make_path(base, Circuit(1, [Gate((0,), -g)]))
+    assert np.abs(path.generators[0] + math.pi * np.eye(2)).max() < 1e-12
+    half = materialize(path, 0.5).gates[0].matrix
+    assert np.abs(half - 1j * g).max() < 1e-12
+
+
+def _rotated(phases, seed):
+    q = haar_unitary(len(phases), seed)
+    return (q * np.exp(1j * np.asarray(phases))) @ q.conj().T
+
+
+@pytest.mark.parametrize("u", [
+    np.eye(4),
+    np.kron(PAULI_X, np.eye(2)),
+    np.diag([1, 1, 1j, 1j]),
+    _rotated([0, 0, math.pi / 2, math.pi / 2], 30),
+    _rotated([0.3, 1.7, -2.0, 2.5], 31),  # 0.3 + 1.7 = 2 ties two eigenvalues of e^-i U + e^i U^dag
+    _rotated([0.5, 0.5 + 1e-9, -1.0, 2.0], 32),
+], ids=["identity", "x-kron-i", "diag-1-1-i-i", "rotated-1-1-i-i", "phases-sum-2", "phases-1e-9-apart"])
+def test_unitary_log_on_hard_spectra(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # X (x) I has eigenvalues on the branch cut
+        phases, z = perturb._unitary_log_generator(u)
+    assert np.abs(z.conj().T @ z - np.eye(4)).max() < 1e-12
+    assert np.abs((z * np.exp(1j * phases)) @ z.conj().T - u).max() < 1e-12
+    assert np.all(phases > -math.pi) and np.all(phases <= math.pi)
 
 
 def test_endpoints_exact():

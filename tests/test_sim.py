@@ -249,10 +249,25 @@ def test_gate_validation():
     {"wires": [0], "matrix": [[1, 0, 0], [0, 0], [0, 0], [1, 0]]},
     {"wires": [0, 1], "params": [float("nan")] + [0.0] * 14},
     [0, 1],
+    {"wires": "ab", "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": 3, "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": [0.5], "matrix": [[1, 0], [0, 0], [0, 0], [1, 0]]},
 ])
 def test_gate_from_json_rejects_malformed(gate):
     with pytest.raises(StructureError):
         circuit_from_json({"n": 2, "gates": [gate]})
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": "x", "gates": []},
+    {"n": 2.5, "gates": []},
+    {"n": True, "gates": []},
+    {"n": 2, "gates": [], "architecture": {"type": "brickwall", "depth": "1"}},
+    {"n": 2, "gates": [], "architecture": {"type": "brickwall"}},
+])
+def test_circuit_from_json_rejects_non_integer_n_and_depth(obj):
+    with pytest.raises(StructureError, match="must be an integer"):
+        circuit_from_json(obj)
 
 
 @pytest.mark.parametrize("obj", [{"gates": []}, {"n": 2}, [2, []]])
