@@ -156,9 +156,7 @@ def cmd_gen(args) -> int:
         target = random_brickwall(args.n, depth, rng)
         inst, report = synth_mod.multistart_search(
             target, x_star=args.x_star, delta_target=args.delta,
-            n_seeds=args.seeds, iters=args.iters,
-            hyper=synth_mod.AdamParams(lr=args.lr, beta1=args.beta1, beta2=args.beta2),
-            seed=args.seed,
+            n_seeds=args.seeds, iters=args.iters, seed=args.seed,
         )
         print(
             f"variational: best p0 {report.best_peakedness:.6f} "
@@ -383,9 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--x-star", dest="x_star", default=None)
     g.add_argument("--seeds", type=int, default=3, help="multi-start count (variational)")
     g.add_argument("--iters", type=int, default=1000)
-    g.add_argument("--lr", type=float, default=0.05)
-    g.add_argument("--beta1", type=float, default=0.9)
-    g.add_argument("--beta2", type=float, default=0.999)
     g.add_argument("--max-trials", dest="max_trials", type=int, default=100000)
     g.add_argument("--conditioned", action="store_true",
                    help="draw the accepted postselection law directly (no rejection)")

@@ -30,7 +30,7 @@ from .sim import (
     apply_circuit,
     as_rng,
     bit_index,
-    brickwall_layers,
+    brickwall_pairs,
     circuit_from_json,
     circuit_to_json,
     compose,
@@ -120,11 +120,7 @@ def haar_state(dim: int, seed=None) -> np.ndarray:
 def random_brickwall(n: int, depth: int, seed=None) -> Circuit:
     """Brickwall circuit with an independent Haar two-qubit gate per slot."""
     rng = as_rng(seed)
-    gates = [
-        Gate(pair, haar_unitary(4, rng))
-        for layer in brickwall_layers(n, depth)
-        for pair in layer
-    ]
+    gates = [Gate(pair, haar_unitary(4, rng)) for pair in brickwall_pairs(n, depth)]
     return Circuit(n, gates, architecture=Brickwall(depth))
 
 

@@ -209,26 +209,20 @@ def chebyshev_nodes(lo: float, hi: float, count: int) -> np.ndarray:
 class PolynomialFit:
     """Fitted amplitude polynomial and the derived peak-weight polynomial.
 
-    The amplitude ``a(theta)`` has degree ``mK`` with complex coefficients;
-    the peak weight is ``|a|^2``, the real polynomial of degree ``2mK``
-    whose coefficients are reported.  Evaluation goes through the
-    amplitude in the scaled variable, which is the numerically stable
-    route, in particular for extrapolation far outside the node window.
+    The amplitude ``a(theta)`` has degree ``mK`` with complex coefficients
+    over the node window; the peak weight is ``|a|^2``, the real polynomial
+    of degree ``2mK`` whose plain-theta coefficients are reported.
+    Evaluation goes through the amplitude on its window, the numerically
+    stable route, in particular for extrapolation far outside it.
     """
 
-    amp_coeffs_scaled: np.ndarray  # ascending, in u = (theta - shift) / scale
-    shift: float
-    scale: float
+    amplitude: np.polynomial.Polynomial  # domain: the node window
     p0_coeffs: np.ndarray  # ascending, in plain theta
     condition: float
     degree: int  # of the peak-weight polynomial (2 m K)
 
-    def amplitude_at(self, theta) -> np.ndarray:
-        u = (np.asarray(theta, dtype=float) - self.shift) / self.scale
-        return np.polynomial.polynomial.polyval(u, self.amp_coeffs_scaled)
-
     def p0_at(self, theta):
-        val = np.abs(self.amplitude_at(theta)) ** 2
+        val = np.abs(self.amplitude(theta)) ** 2
         return float(val) if np.ndim(theta) == 0 else val
 
 
@@ -238,10 +232,11 @@ def amplitude_polynomial(
     """Fit the peak amplitude of the truncated path as a polynomial in theta.
 
     Needs at least ``2mK + 1`` distinct nodes.  The amplitude values are
-    fitted by least squares in an affinely scaled variable; the
-    peak-weight coefficients are the self-convolution of the amplitude
-    coefficients.  Raises :class:`IllConditionedNodes` when the scaled
-    Vandermonde is numerically rank-deficient.
+    fitted by least squares in the node window mapped to ``[-1, 1]``; the
+    peak-weight coefficients are numpy's product of the amplitude
+    polynomial with its conjugate, converted to plain theta.  Raises
+    :class:`IllConditionedNodes` when the scaled Vandermonde is numerically
+    rank-deficient.
     """
     nodes = np.asarray(nodes, dtype=float)
     deg_amp = tpath.amp_degree
@@ -256,11 +251,10 @@ def amplitude_polynomial(
         [amplitude(materialize_truncated(tpath, t).circuit, n_bits, x_star) for t in nodes]
     )
 
-    shift = 0.5 * (nodes.max() + nodes.min())
-    scale = 0.5 * (nodes.max() - nodes.min())
-    if scale == 0.0:
+    window = [nodes.min(), nodes.max()]
+    if window[0] == window[1]:
         raise ValueError("nodes span an empty interval")
-    u = (nodes - shift) / scale
+    u = np.polynomial.polyutils.mapdomain(nodes, window, [-1.0, 1.0])
     vand = np.polynomial.polynomial.polyvander(u, deg_amp)
     condition = float(np.linalg.cond(vand))
     if condition > COND_LIMIT:
@@ -269,20 +263,9 @@ def amplitude_polynomial(
             "use chebyshev_nodes over the sampling window"
         )
     coeffs, *_ = np.linalg.lstsq(vand, values, rcond=None)
-
-    # |a(theta)|^2 in the plain theta basis: rescale, then self-convolve
-    amp_theta = _rescale_poly(coeffs, shift, scale)
-    p0_coeffs = np.convolve(amp_theta, amp_theta.conj()).real
-    return PolynomialFit(coeffs, shift, scale, p0_coeffs, condition, deg_p0)
-
-
-def _rescale_poly(coeffs_u: np.ndarray, shift: float, scale: float) -> np.ndarray:
-    """Coefficients in theta for a polynomial given in u = (theta-shift)/scale."""
-    poly = np.polynomial.polynomial.Polynomial([0.0])
-    base = np.polynomial.polynomial.Polynomial([-shift / scale, 1.0 / scale])
-    for c in reversed(coeffs_u):
-        poly = poly * base + c
-    return poly.coef
+    amp = np.polynomial.Polynomial(coeffs, domain=window)
+    p0_coeffs = (amp * np.polynomial.Polynomial(coeffs.conj(), domain=window)).convert().coef.real
+    return PolynomialFit(amp, p0_coeffs, condition, deg_p0)
 
 
 # ---------------------------------------------------------------------------

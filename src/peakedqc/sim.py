@@ -73,14 +73,20 @@ def two_qubit_pauli_basis() -> np.ndarray:
 SU4_BASIS = two_qubit_pauli_basis()
 
 
+def su4_gates(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``exp(-i sum_k params[g, k] P_k)`` per row of a ``(G, 15)`` stack, with its eigh factors."""
+    h = np.einsum("gm,mij->gij", params, SU4_BASIS)
+    w, q = np.linalg.eigh(h)
+    mats = np.einsum("gik,gk,gjk->gij", q, np.exp(-1j * w), q.conj())
+    return mats, w, q
+
+
 def su4_gate(params: Sequence[float]) -> np.ndarray:
     """``exp(-i sum_k params[k] P_k)`` over the fixed two-qubit Pauli basis."""
     params = np.asarray(params, dtype=float)
     if params.shape != (15,) or not np.isfinite(params).all():
         raise StructureError(f"expected 15 finite generator coefficients, got shape {params.shape}")
-    h = np.tensordot(params, SU4_BASIS, axes=1)
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(-1j * w)) @ q.conj().T
+    return su4_gates(params[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +133,11 @@ class Brickwall:
     depth: int
 
 
-def brickwall_layers(n: int, depth: int) -> list[list[tuple[int, int]]]:
-    """Wire pairs per layer: even layers start at wire 0, odd at wire 1."""
+def brickwall_pairs(n: int, depth: int) -> list[tuple[int, int]]:
+    """Wire pairs in gate order, layer by layer: even layers start at wire 0, odd at wire 1."""
     if depth < 1:
         raise StructureError("brickwall depth must be >= 1")
-    layers = []
-    for layer in range(depth):
-        start = layer % 2
-        layers.append([(w, w + 1) for w in range(start, n - 1, 2)])
-    return layers
+    return [(w, w + 1) for layer in range(depth) for w in range(layer % 2, n - 1, 2)]
 
 
 @dataclass(eq=False)
@@ -151,10 +153,7 @@ class Circuit:
             if any(w < 0 or w >= self.n for w in g.wires):
                 raise StructureError(f"gate wires {g.wires} invalid for n={self.n}")
         if self.architecture is not None:
-            expected = [p for layer in brickwall_layers(self.n, self.architecture.depth)
-                        for p in layer]
-            actual = [g.wires for g in self.gates]
-            if actual != expected:
+            if [g.wires for g in self.gates] != brickwall_pairs(self.n, self.architecture.depth):
                 raise StructureError("gate order does not match the brickwall layer pattern")
 
 

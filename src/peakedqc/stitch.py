@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .ensembles import PeakedInstance, haar_unitary
+from .ensembles import PeakedInstance, haar_state, haar_unitary
 from .sim import (
     N_MAX_STATEVECTOR,
     Circuit,
@@ -166,10 +166,6 @@ def closed_form_q(d: int, eps_list: Sequence[float]) -> float:
     return 1.0 / d + prod * (1.0 - 1.0 / d)
 
 
-# every layer draws a dense Haar unitary of dimension 2^n - 1
-N_MAX_BLOCK_MIXING = 8
-
-
 class MixingEstimate(NamedTuple):
     mean: float
     std_err: float
@@ -183,9 +179,12 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
     Each layer is ``B diag(1, X_j)`` with ``B`` a fixed rotation leaking
     weight ``eps`` out of the tracked direction and ``X_j`` independent
     Haar on the complement, exactly the hypotheses behind the recurrence.
+    A Haar ``X_j`` applied to the complement part of the state gives a Haar
+    state of the same norm (unitary invariance), so each layer draws that
+    state, not a ``(d-1)``-dimensional unitary; ``n <= N_MAX_STATEVECTOR``.
     """
-    if n > N_MAX_BLOCK_MIXING:
-        raise ValueError(f"block-mixing Monte Carlo is capped at n <= {N_MAX_BLOCK_MIXING}")
+    if n > N_MAX_STATEVECTOR:
+        raise ValueError(f"block-mixing Monte Carlo is capped at n <= {N_MAX_STATEVECTOR}")
     rng = as_rng(seed)
     d = 1 << n
     c, s = math.sqrt(1.0 - eps), math.sqrt(eps)
@@ -194,7 +193,7 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
         psi = np.zeros(d, dtype=complex)
         psi[0] = 1.0
         for _ in range(L):
-            psi[1:] = haar_unitary(d - 1, rng) @ psi[1:]
+            psi[1:] = np.linalg.norm(psi[1:]) * haar_state(d - 1, rng)
             top, second = psi[0], psi[1]
             psi[0] = c * top - s * second
             psi[1] = s * top + c * second

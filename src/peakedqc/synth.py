@@ -28,9 +28,10 @@ from .sim import (
     adjoint,
     amplitude,
     apply_circuit,
-    brickwall_layers,
+    brickwall_pairs,
     compose,
     spawn_rngs,
+    su4_gates,
 )
 
 
@@ -43,7 +44,7 @@ class ParamCircuit:
     params: np.ndarray  # shape (gate_count, 15)
 
     def __post_init__(self):
-        self.pairs = [p for layer in brickwall_layers(self.n, self.depth) for p in layer]
+        self.pairs = brickwall_pairs(self.n, self.depth)
         self.params = np.asarray(self.params, dtype=float)
         if self.params.shape != (len(self.pairs), 15):
             raise StructureError(
@@ -52,29 +53,19 @@ class ParamCircuit:
 
     @classmethod
     def zeros(cls, n: int, depth: int) -> "ParamCircuit":
-        count = sum(len(layer) for layer in brickwall_layers(n, depth))
-        return cls(n, depth, np.zeros((count, 15)))
+        return cls(n, depth, np.zeros((len(brickwall_pairs(n, depth)), 15)))
 
     @classmethod
     def random(cls, n: int, depth: int, rng, scale: float = 0.2) -> "ParamCircuit":
-        count = sum(len(layer) for layer in brickwall_layers(n, depth))
-        return cls(n, depth, rng.normal(0.0, scale, size=(count, 15)))
+        return cls(n, depth, rng.normal(0.0, scale, size=(len(brickwall_pairs(n, depth)), 15)))
 
     def materialize(self) -> Circuit:
-        mats, _, _ = _su4_batch(self.params)
+        mats, _, _ = su4_gates(self.params)
         gates = [
             Gate(pair, mat, params=np.array(p))
             for pair, mat, p in zip(self.pairs, mats, self.params)
         ]
         return Circuit(self.n, gates, architecture=Brickwall(self.depth))
-
-
-def _su4_batch(params: np.ndarray):
-    """Materialize all gates at once: returns (matrices, eigvals, eigvecs)."""
-    h = np.einsum("gm,mij->gij", params, SU4_BASIS)
-    w, q = np.linalg.eigh(h)
-    mats = np.einsum("gik,gk,gjk->gij", q, np.exp(-1j * w), q.conj())
-    return mats, w, q
 
 
 # Tr(A P_m) = sum_ij A_ij (P_m)_ji, so row m is P_m transposed and flattened
@@ -95,7 +86,7 @@ def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.n
     and p0 = |beta|^2, grad p0 = 2 Re(conj(beta) grad beta).
     """
     n = pcirc.n
-    mats, w, q = _su4_batch(pcirc.params)
+    mats, w, q = su4_gates(pcirc.params)
     psi = x_star_state.reshape((2,) * n).copy()
     for pair, mat in zip(pcirc.pairs, mats):
         _apply_matrix(psi, pair, mat)
@@ -202,7 +193,6 @@ def multistart_search(
     delta_target: float = 0.5,
     n_seeds: int = 3,
     iters: int = 1000,
-    hyper: AdamParams | None = None,
     seed=None,
     init_scale: float = 0.2,
     depth: int | None = None,
@@ -222,7 +212,6 @@ def multistart_search(
         if target.architecture is None:
             raise StructureError("target has no brickwall tag; pass depth explicitly")
         depth = target.architecture.depth
-    hyper = hyper or AdamParams()
 
     t0 = time.perf_counter()
     c_state = _target_column(target)
@@ -247,7 +236,7 @@ def multistart_search(
             if p0 >= delta_target or t == iters:
                 break
             # ascent on p0 = descent on the loss -p0
-            pcirc.params, state = adam_step(pcirc.params, -grad, state, hyper)
+            pcirc.params, state = adam_step(pcirc.params, -grad, state, AdamParams())
         traces.append(SeedTrace(s, steps_run, history))
 
     winner = ParamCircuit(target.n, depth, best_theta)

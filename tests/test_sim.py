@@ -322,6 +322,20 @@ def test_su4_gate_unitary_and_identity():
     assert np.abs(g.conj().T @ g - np.eye(4)).max() < 1e-12
 
 
+def test_one_su4_exponential():
+    """Stacked and single-gate exponentials, and the ansatz's gates, agree bit for bit."""
+    from peakedqc.synth import ParamCircuit
+
+    params = np.random.default_rng(11).normal(0.0, 1.0, size=(200, 15))
+    mats, w, q = sim.su4_gates(params)
+    assert mats.shape == (200, 4, 4) and w.shape == (200, 4) and q.shape == (200, 4, 4)
+    for row, mat in zip(params, mats):
+        assert np.array_equal(mat, sim.su4_gate(row))
+    pcirc = ParamCircuit.random(5, 5, np.random.default_rng(12), scale=1.0)
+    for pair, p, g in zip(pcirc.pairs, pcirc.params, pcirc.materialize().gates):
+        assert np.array_equal(g.matrix, Gate.from_params(pair, p).matrix)
+
+
 def test_sampleset_holds_indices():
     s = sim.SampleSet(3, ["101", "000", "111"])
     assert s.indices.dtype == np.uint64

@@ -61,6 +61,14 @@ def test_montecarlo_decays_to_uniform():
     assert abs(est.closed_form - 1 / 16) < 1e-6
 
 
+def test_montecarlo_above_old_cap():
+    """The Monte Carlo runs up to the statevector cap, and refuses one wire more."""
+    est = montecarlo_block_mixing(10, 5, 0.1, 2000, seed=5)
+    assert abs(est.mean - closed_form_q(1 << 10, [0.1] * 5)) <= 4 * est.std_err
+    with pytest.raises(ValueError):
+        montecarlo_block_mixing(stitch.N_MAX_STATEVECTOR + 1, 1, 0.1, 1, seed=5)
+
+
 def test_single_block_stitch_is_the_block():
     inst = conditioned_generate(3, 0.8, seed=4, exact_delta=True)
     plan = make_plan([inst])
