@@ -10,12 +10,10 @@ import numpy as np
 
 from peakedqc.ensembles import conditioned_generate, haar_unitary
 from peakedqc.perturb import (
-    TruncatedPath,
     amplitude_polynomial,
     chebyshev_nodes,
     make_path,
     materialize,
-    materialize_truncated,
     tv_peakedness_check,
 )
 from peakedqc.sim import Circuit, Gate, amplitude
@@ -34,18 +32,18 @@ for theta in (1e-3, 1e-2, 1e-1):
 print("\npolynomial reconstruction from a narrow sampling window:")
 two_gates = Circuit(2, [Gate((0, 1), haar_unitary(4, seed=k)) for k in (1, 2)])
 two_target = Circuit(2, [Gate((0, 1), haar_unitary(4, seed=k)) for k in (3, 4)])
-tpath = TruncatedPath(make_path(two_gates, two_target), K=2)
-nodes = chebyshev_nodes(0.0, 0.1, 2 * tpath.amp_degree + 1)
-fit = amplitude_polynomial(tpath, "00", nodes)
-print(f"  m={tpath.gate_count} gates, K={tpath.K}: weight polynomial degree {fit.degree}, "
+two_path, K = make_path(two_gates, two_target), 2
+nodes = chebyshev_nodes(0.0, 0.1, 2 * two_path.gate_count * K + 1)
+fit = amplitude_polynomial(two_path, K, "00", nodes)
+print(f"  m={two_path.gate_count} gates, K={K}: weight polynomial degree {fit.degree}, "
       f"node-matrix condition {fit.condition:.1f}")
 for theta in (0.05, 0.5, 1.0):
-    direct = abs(amplitude(materialize_truncated(tpath, theta).circuit, "00", "00")) ** 2
+    direct = abs(amplitude(materialize(two_path, theta, K), "00", "00")) ** 2
     print(f"  theta={theta}: fitted {fit.p0_at(theta):.10f}  direct {direct:.10f}  "
           f"err {abs(fit.p0_at(theta) - direct):.2e}")
 
 print("\ntruncation order controls the gate error (theta = 0.05):")
 exact = amplitude(materialize(path, 0.05), "000", "000")
 for K in (1, 2, 4, 8, 12):
-    approx = amplitude(materialize_truncated(TruncatedPath(path, K), 0.05).circuit, "000", "000")
+    approx = amplitude(materialize(path, 0.05, K), "000", "000")
     print(f"  K={K:2d}: amplitude error {abs(approx - exact):.3e}")

@@ -37,7 +37,7 @@ from .ensembles import (
     random_brickwall,
 )
 from .synth import AdamParams, ParamCircuit, SynthesisReport, multistart_search
-from .perturb import PerturbationPath, TruncatedPath, amplitude_polynomial, make_path, materialize
+from .perturb import PerturbationPath, amplitude_polynomial, make_path, materialize
 from .stitch import StitchPlan, make_plan, predict_peak_recurrence
 from .stitch import stitch as stitch_blocks  # the submodule keeps the name `stitch`
 from .noise import BSC, GlobalDepolarizing, TSparse, apply_noise, hba_estimate, majority_decode

@@ -35,6 +35,7 @@ from .ensembles import (
 from .sim import (
     SampleSet,
     StructureError,
+    _json_int,
     amplitude,
     as_rng,
     circuit_from_json,
@@ -219,7 +220,9 @@ def load_shots(path: str) -> SampleSet:
         text = fh.read().strip()
     if text.startswith("{"):
         obj = parse_json(text, path, ("n", "shots"))
-        n, shots, meta = obj["n"], obj["shots"], obj.get("meta", {})
+        n, shots, meta = _json_int(obj["n"], f"{path} n"), obj["shots"], obj.get("meta", {})
+        if not isinstance(shots, list):
+            raise StructureError(f"{path}: shots must be a list")
     else:
         shots, meta = text.split(), {}
         n = len(shots[0]) if shots else 0
@@ -234,20 +237,29 @@ def cmd_verify(args) -> int:
             raise StructureError("--depol E is --noise depol:E; give the channel once")
         args.noise = f"depol:{args.depol}"
     private = read_json(args.private, "n", "peak_string", "peakedness", "salt", "commitment")
+    n, claimed = _json_int(private["n"], f"{args.private} n"), private["peakedness"]
+    if isinstance(claimed, bool) or not isinstance(claimed, (int, float)) or not 0 <= claimed <= 1:
+        raise StructureError(f"{args.private}: peakedness must be a real number in [0, 1], got {claimed!r}")
+    try:
+        salt = bytes.fromhex(private["salt"])
+    except (TypeError, ValueError):
+        raise StructureError(f"{args.private}: salt must be a hex string") from None
+    if not isinstance(private["peak_string"], str):
+        raise StructureError(f"{args.private}: peak_string must be a bit string")
     samples = load_shots(args.shots)
-    if samples.n != private["n"]:
-        raise StructureError(f"{args.shots} holds {samples.n}-bit shots; the challenge has n = {private['n']}")
+    if samples.n != n:
+        raise StructureError(f"{args.shots} holds {samples.n}-bit shots; the challenge has n = {n}")
     channel = parse_noise(args.noise, private["peak_string"])
-    v = noise_mod.verdict(samples, private["peak_string"], private["peakedness"], channel,
+    v = noise_mod.verdict(samples, private["peak_string"], claimed, channel,
                           args.decoder, args.t, args.tolerance)
-    commitment_ok = commitment_digest(v.decoded, bytes.fromhex(private["salt"])) == private["commitment"]
+    commitment_ok = commitment_digest(v.decoded, salt) == private["commitment"]
 
     verdict = {
         "accept": bool(commitment_ok and v.weight_ok),
         "decoded_string": v.decoded,
         "commitment_matches": bool(commitment_ok),
         "estimate": v.estimate,
-        "claimed": private["peakedness"],
+        "claimed": claimed,
         "expected": v.expected,
         "tolerance": v.tolerance,
         "decoder": args.decoder,
@@ -316,12 +328,11 @@ def cmd_perturb(args) -> int:
     x_star = args.x_star or "0" * base.n
     thetas = [float(t) for t in args.theta.split(",")]
     lines = ["theta,p0,p0_truncated,tv_bound"]
-    tpath = perturb_mod.TruncatedPath(path, args.K) if args.K is not None else None
     for theta in thetas:
         p0 = abs(amplitude(perturb_mod.materialize(path, theta), "0" * base.n, x_star)) ** 2
         p0_tr = ""
-        if tpath is not None:
-            p0_tr = abs(amplitude(perturb_mod.materialize_truncated(tpath, theta).circuit, "0" * base.n, x_star)) ** 2
+        if args.K is not None:
+            p0_tr = abs(amplitude(perturb_mod.materialize(path, theta, args.K), "0" * base.n, x_star)) ** 2
         chk = perturb_mod.tv_peakedness_check(path, theta, x_star)
         lines.append(f"{theta},{p0},{p0_tr},{chk.bound}")
     text = "\n".join(lines) + "\n"

@@ -146,7 +146,6 @@ def postselect_generate(
         raise ValueError("max_trials must be >= 1")
     rng = as_rng(seed)
     x_star = "0" * n if x_star is None else x_star
-    ix = bit_index(x_star, n)
     depth = 4 * n if depth is None else depth
 
     c = random_brickwall(n, depth, rng)
@@ -250,9 +249,7 @@ def hs_overlap(c: Circuit, c_prime: Circuit) -> tuple[float, float]:
     """``(|Tr(C^dag C')|^2, |Tr(C^dag C')/d|^2)`` for two same-size circuits."""
     if c.n != c_prime.n:
         raise StructureError("circuits act on different wire counts")
-    u = full_unitary(c)
-    u_prime = full_unitary(c_prime)
-    tr = np.trace(u.conj().T @ u_prime)
+    tr = np.vdot(full_unitary(c), full_unitary(c_prime))  # sum of conj(U) * U'
     d = 1 << c.n
     trace_sq = float(abs(tr) ** 2)
     return trace_sq, trace_sq / d**2
@@ -345,13 +342,12 @@ def gate_correlation_check(c: Circuit, c_prime: Circuit) -> GateCorrelation:
         if abs(tr) > 0:
             total_phase *= tr / abs(tr)
 
-    d = 1 << c.n
     eps = 1.0 - min(overlaps) if overlaps else 0.0
     m_count = len(c.gates)
-    p = full_unitary(c_prime).conj().T @ full_unitary(c)
+    p = full_unitary(compose(adjoint(c_prime), c))
     # aligning each C' gate by its pair-trace phase rotates P by the product phase
-    dist = float(np.linalg.norm(np.conj(total_phase) * p - np.eye(d)))
-    bound = m_count * math.sqrt(d * eps)
+    dist = math.sqrt(frobenius_sq_to_identity(p, total_phase))
+    bound = m_count * math.sqrt((1 << c.n) * eps)
     return GateCorrelation(overlaps, dist, bound, dist <= bound + 1e-9, eps, m_count)
 
 

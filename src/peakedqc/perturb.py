@@ -5,7 +5,7 @@ For same-architecture circuits with gates ``G_j`` (base) and ``G*_j``
 (target), each gate moves along ``G_j(theta) = G_j exp(-i theta H_j)``
 with the Hermitian generator ``H_j = i log(G_j^{-1} G*_j)`` (principal
 branch), so the path is exactly the base at ``theta = 0`` and exactly the
-target at ``theta_end = 1``.
+target at ``theta = 1``.
 
 Replacing each exponential by its degree-K Taylor polynomial makes every
 output amplitude a polynomial of degree ``m*K`` in theta (so probabilities
@@ -15,9 +15,8 @@ unitary; they are simulated as plain matrices.
 """
 from __future__ import annotations
 
-import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,98 +63,60 @@ def _unitary_log_generator(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class PerturbationPath:
-    """Per-gate geodesic from ``base`` to ``target`` (same architecture)."""
+    """Per-gate geodesic from ``base`` to ``target`` (same architecture).
+
+    Gate j's generator is kept as its eigenframe: ``G_j^dag G*_j = Z_j
+    diag(exp(i phi_j)) Z_j^dag``, so ``H_j = -Z_j diag(phi_j) Z_j^dag``.
+    """
 
     base: Circuit
     target: Circuit
-    generators: list[np.ndarray]  # Hermitian H_j
-    theta_end: float
-    op_norms: np.ndarray
-    _frames: list[tuple[np.ndarray, np.ndarray]] = field(repr=False, default_factory=list)
+    phases: list[np.ndarray]  # phi_j
+    frames: list[np.ndarray]  # Z_j
 
     @property
     def gate_count(self) -> int:
-        return len(self.generators)
+        return len(self.phases)
+
+    @property
+    def op_norms(self) -> np.ndarray:
+        """``|H_j|``, the largest ``|phi_j|`` of each gate."""
+        return np.array([np.abs(phases).max() for phases in self.phases])
 
 
 def make_path(base: Circuit, target: Circuit) -> PerturbationPath:
     """Build the interpolation path; ``materialize(path, 1.0)`` hits the target."""
     if base.n != target.n or len(base.gates) != len(target.gates):
         raise StructureError("base and target must share wire count and gate count")
-    generators = []
-    frames = []
-    norms = []
+    phases, frames = [], []
     for g, gs in zip(base.gates, target.gates):
         if g.wires != gs.wires:
             raise StructureError(f"gate wires differ along the path: {g.wires} vs {gs.wires}")
-        u = g.matrix.conj().T @ gs.matrix  # G^{-1} G*
-        phases, z = _unitary_log_generator(u)
-        h = (z * (-phases)) @ z.conj().T  # H = i log(U), Hermitian
-        h = 0.5 * (h + h.conj().T)
-        generators.append(h)
-        frames.append((phases, z))
-        norms.append(float(np.abs(phases).max()) if phases.size else 0.0)
-    return PerturbationPath(base, target, generators, 1.0, np.array(norms), frames)
+        phi, z = _unitary_log_generator(g.matrix.conj().T @ gs.matrix)  # G^{-1} G*
+        phases.append(phi)
+        frames.append(z)
+    return PerturbationPath(base, target, phases, frames)
 
 
-def materialize(path: PerturbationPath, theta: float) -> Circuit:
-    """Circuit with gates ``G_j exp(-i theta H_j)``; exact unitaries."""
-    if theta == 0.0:
-        return Circuit(path.base.n, list(path.base.gates))
-    gates = []
-    for g, (phases, z) in zip(path.base.gates, path._frames):
-        # exp(-i theta H) = Z diag(exp(i theta phi)) Z^dag
-        step = (z * np.exp(1j * theta * phases)) @ z.conj().T
-        gates.append(Gate(g.wires, g.matrix @ step))
-    return Circuit(path.base.n, gates)
+def materialize(path: PerturbationPath, theta: float, K: int | None = None) -> Circuit:
+    """Circuit with gates ``G_j exp(-i theta H_j)``, exact unitaries.
 
-
-@dataclass(eq=False)
-class TruncatedPath:
-    """A path whose gate exponentials are truncated at Taylor order K."""
-
-    path: PerturbationPath
-    K: int
-
-    def __post_init__(self):
-        if self.K < 0:
-            raise ValueError("truncation order K must be >= 0")
-
-    @property
-    def gate_count(self) -> int:
-        return self.path.gate_count
-
-    @property
-    def amp_degree(self) -> int:
-        """Amplitudes are polynomials of this degree in theta."""
-        return self.path.gate_count * self.K
-
-
-class TruncatedMaterialization(NamedTuple):
-    circuit: Circuit
-    per_gate_error_bound: np.ndarray  # (theta |H_j|)^(K+1) / (K+1)!
-
-
-def materialize_truncated(tpath: TruncatedPath, theta: float) -> TruncatedMaterialization:
-    """Gates ``G_j sum_{i<=K} (-i theta H_j)^i / i!`` (generally non-unitary).
-
-    At ``theta = 0`` this returns the base gates exactly.  The per-gate
-    Taylor remainder scale is reported alongside.
+    With ``K`` the exponential is its degree-K Taylor polynomial, ``sum_{i<=K}
+    (-i theta H_j)^i / i!``, and the gates are generally not unitary.
+    ``theta = 0`` or ``K = 0`` returns the base gates exactly.
     """
-    path, K = tpath.path, tpath.K
-    bounds = (theta * path.op_norms) ** (K + 1) / math.factorial(K + 1)
-    if theta == 0.0:
-        return TruncatedMaterialization(Circuit(path.base.n, list(path.base.gates)), bounds)
+    if K is not None and K < 0:
+        raise ValueError("truncation order K must be >= 0")
+    if theta == 0.0 or K == 0:
+        return Circuit(path.base.n, list(path.base.gates))
+    taylor = None if K is None else 1.0 / np.cumprod([1.0, *range(1, K + 1)])
     gates = []
-    for g, h in zip(path.base.gates, path.generators):
-        dim = h.shape[0]
-        acc = np.eye(dim, dtype=complex)
-        term = np.eye(dim, dtype=complex)
-        for i in range(1, K + 1):
-            term = (term @ h) * (-1j * theta / i)
-            acc = acc + term
-        gates.append(Gate(g.wires, g.matrix @ acc))
-    return TruncatedMaterialization(Circuit(path.base.n, gates), bounds)
+    for g, phases, z in zip(path.base.gates, path.phases, path.frames):
+        # (-i theta H)^i = Z diag((i theta phi)^i) Z^dag
+        x = 1j * theta * phases
+        f = np.exp(x) if taylor is None else np.polynomial.polynomial.polyval(x, taylor)
+        gates.append(Gate(g.wires, g.matrix @ ((z * f) @ z.conj().T)))
+    return Circuit(path.base.n, gates)
 
 
 class TVCheck(NamedTuple):
@@ -227,9 +188,9 @@ class PolynomialFit:
 
 
 def amplitude_polynomial(
-    tpath: TruncatedPath, x_star: str, nodes: Sequence[float]
+    path: PerturbationPath, K: int, x_star: str, nodes: Sequence[float]
 ) -> PolynomialFit:
-    """Fit the peak amplitude of the truncated path as a polynomial in theta.
+    """Fit the peak amplitude of the order-K truncated path as a polynomial in theta.
 
     Needs at least ``2mK + 1`` distinct nodes.  The amplitude values are
     fitted by least squares in the node window mapped to ``[-1, 1]``; the
@@ -239,17 +200,15 @@ def amplitude_polynomial(
     rank-deficient.
     """
     nodes = np.asarray(nodes, dtype=float)
-    deg_amp = tpath.amp_degree
+    deg_amp = path.gate_count * K
     deg_p0 = 2 * deg_amp
     if nodes.size < deg_p0 + 1:
         raise ValueError(f"need at least {deg_p0 + 1} nodes, got {nodes.size}")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("interpolation nodes must be distinct")
 
-    n_bits = "0" * tpath.path.base.n
-    values = np.array(
-        [amplitude(materialize_truncated(tpath, t).circuit, n_bits, x_star) for t in nodes]
-    )
+    n_bits = "0" * path.base.n
+    values = np.array([amplitude(materialize(path, t, K), n_bits, x_star) for t in nodes])
 
     window = [nodes.min(), nodes.max()]
     if window[0] == window[1]:
@@ -266,32 +225,3 @@ def amplitude_polynomial(
     amp = np.polynomial.Polynomial(coeffs, domain=window)
     p0_coeffs = (amp * np.polynomial.Polynomial(coeffs.conj(), domain=window)).convert().coef.real
     return PolynomialFit(amp, p0_coeffs, condition, deg_p0)
-
-
-# ---------------------------------------------------------------------------
-# JSON
-
-
-def path_to_json(path: PerturbationPath) -> dict:
-    from .sim import _matrix_to_pairs, circuit_to_json
-
-    return {
-        "base": circuit_to_json(path.base),
-        "target": circuit_to_json(path.target),
-        "theta_end": path.theta_end,
-        "generators": [_matrix_to_pairs(h) for h in path.generators],
-        "op_norms": [float(x) for x in path.op_norms],
-    }
-
-
-def path_from_json(obj: dict) -> PerturbationPath:
-    """Rebuild a path; generators are recomputed from the circuits so the
-    cached eigenframes (needed by materialize) stay consistent, then checked
-    against the stored matrices."""
-    from .sim import _pairs_to_matrix, circuit_from_json
-
-    path = make_path(circuit_from_json(obj["base"]), circuit_from_json(obj["target"]))
-    for h, stored in zip(path.generators, obj["generators"]):
-        if np.abs(h - _pairs_to_matrix(stored)).max() > 1e-8:
-            raise StructureError("stored generators do not match the circuit pair")
-    return path

@@ -39,12 +39,10 @@ from peakedqc.noise import (
     planted_sampleset,
 )
 from peakedqc.perturb import (
-    TruncatedPath,
     amplitude_polynomial,
     chebyshev_nodes,
     make_path,
     materialize,
-    materialize_truncated,
     tv_peakedness_check,
 )
 from peakedqc.sim import Circuit, Gate, SampleSet, amplitude, as_rng, index_bits
@@ -181,8 +179,7 @@ def test_criterion_5_theta_perturbation():
         tv_ok &= chk.holds
         details.append(f"theta={theta:g}: tv={chk.tv_distance:.5f} <= {chk.bound:.5f}")
 
-    tp = TruncatedPath(path, 4)
-    zero = materialize_truncated(tp, 0.0).circuit
+    zero = materialize(path, 0.0, K=4)
     exact_zero = all(
         np.array_equal(a.matrix, b.matrix) for a, b in zip(zero.gates, base.gates)
     )
@@ -190,8 +187,7 @@ def test_criterion_5_theta_perturbation():
     theta = 0.1
     ref = amplitude(materialize(path, theta), "000", "000")
     errs = [
-        abs(amplitude(materialize_truncated(TruncatedPath(path, K), theta).circuit,
-                      "000", "000") - ref)
+        abs(amplitude(materialize(path, theta, K), "000", "000") - ref)
         for K in range(14)
     ]
     floor = 1e-13
@@ -211,16 +207,16 @@ def test_criterion_6_polynomial_structure():
     rng = as_rng(61)
     base = Circuit(2, [Gate((0, 1), haar_unitary(4, rng)) for _ in range(2)])
     target = Circuit(2, [Gate((0, 1), haar_unitary(4, rng)) for _ in range(2)])
-    tp = TruncatedPath(make_path(base, target), 2)  # m=2, K=2: degree 8
-    nodes = chebyshev_nodes(0.0, 0.1, 2 * tp.amp_degree + 1)
-    fit = amplitude_polynomial(tp, "00", nodes)
+    path, K = make_path(base, target), 2  # m=2, K=2: degree 8
+    nodes = chebyshev_nodes(0.0, 0.1, 2 * path.gate_count * K + 1)
+    fit = amplitude_polynomial(path, K, "00", nodes)
 
     held = chebyshev_nodes(0.004, 0.096, 10)
     resid = max(
-        abs(fit.p0_at(t) - abs(amplitude(materialize_truncated(tp, t).circuit, "00", "00")) ** 2)
+        abs(fit.p0_at(t) - abs(amplitude(materialize(path, t, K), "00", "00")) ** 2)
         for t in held
     )
-    endpoint = abs(amplitude(materialize_truncated(tp, 1.0).circuit, "00", "00")) ** 2
+    endpoint = abs(amplitude(materialize(path, 1.0, K), "00", "00")) ** 2
     extrap_err = abs(fit.p0_at(1.0) - endpoint)
     ok = fit.degree == 8 and resid <= 1e-8 and extrap_err <= 1e-6
     report(

@@ -209,10 +209,10 @@ def test_cli_import_skips_scipy_linalg():
         import sys
         sys.modules["scipy"] = None  # any import of scipy now raises ImportError
         from peakedqc.ensembles import random_brickwall
-        from peakedqc.perturb import make_path, materialize, path_from_json, path_to_json
+        from peakedqc.perturb import make_path, materialize
         path = make_path(random_brickwall(4, 4, seed=1), random_brickwall(4, 4, seed=2))
         materialize(path, 0.5)
-        path_from_json(path_to_json(path))
+        materialize(path, 0.5, K=3)
         print("ok")
     """)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -329,6 +329,25 @@ def test_verify_bsc_default_tolerance(tmp_path):
         rc = run_cli("verify", "--private", priv_path, "--shots", uniform_path,
                      "--decoder", decoder, "--noise", "bsc:0.05")
         assert rc == 1
+
+
+@pytest.mark.parametrize("shots_text, private_edit", [
+    ('{"n": "4", "shots": ["0101", "0110"]}', {}),
+    ('{"n": 4, "shots": "0101"}', {}),
+    ("0101\n0110\n", {"salt": "not hex"}),
+    ("0101\n0110\n", {"peakedness": "0.9"}),
+    ("0101\n0110\n", {"peakedness": 1.5}),
+    ("0101\n0110\n", {"peak_string": 5}),
+], ids=["n-string", "shots-string", "salt-not-hex", "peakedness-string", "peakedness-above-1",
+        "peak-string-number"])
+def test_verify_malformed_fields_exit_2(tmp_path, capsys, shots_text, private_edit):
+    priv_path = planted_private(tmp_path, 4, "0101", 0.9)
+    priv_path.write_text(json.dumps({**json.loads(priv_path.read_text()), **private_edit}))
+    shots_path = tmp_path / "shots.json"
+    shots_path.write_text(shots_text)
+    assert run_cli("verify", "--private", priv_path, "--shots", shots_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("peakedqc: ") and err.count("\n") == 1
 
 
 def test_verify_depol_false_reject_rate(tmp_path):

@@ -9,12 +9,10 @@ from peakedqc import perturb
 from peakedqc.ensembles import haar_unitary, random_brickwall
 from peakedqc.perturb import (
     IllConditionedNodes,
-    TruncatedPath,
     amplitude_polynomial,
     chebyshev_nodes,
     make_path,
     materialize,
-    materialize_truncated,
     tv_peakedness_check,
 )
 from peakedqc.sim import (
@@ -30,7 +28,7 @@ from peakedqc.sim import (
 def test_constant_path_for_equal_circuits():
     circ = random_brickwall(3, 4, seed=0)
     path = make_path(circ, circ)
-    assert np.abs(np.stack(path.generators)).max() < 1e-12
+    assert np.abs(np.stack(path.phases)).max() < 1e-12
     assert path.op_norms.max() < 1e-12
 
 
@@ -42,8 +40,8 @@ def test_identity_to_x_single_qubit():
         path = make_path(base, target)
     end = materialize(path, 1.0)
     assert np.abs(end.gates[0].matrix - PAULI_X).max() < 1e-10
-    # eigendecomposition oracle: generator phases must be {0, pi}
-    phases = np.linalg.eigvalsh(path.generators[0])
+    # the generator's eigenphases must be {0, pi}
+    phases = path.phases[0]
     assert np.allclose(np.sort(np.abs(phases)), [0.0, math.pi], atol=1e-12)
 
 
@@ -57,7 +55,7 @@ def test_branch_cut_resolves_to_plus_pi(seed):
         make_path(base, Circuit(1, [Gate((0,), g @ PAULI_X)]))
     with pytest.warns(RuntimeWarning, match="branch cut"):
         path = make_path(base, Circuit(1, [Gate((0,), -g)]))
-    assert np.abs(path.generators[0] + math.pi * np.eye(2)).max() < 1e-12
+    assert np.abs(path.phases[0] - math.pi).max() < 1e-12
     half = materialize(path, 0.5).gates[0].matrix
     assert np.abs(half - 1j * g).max() < 1e-12
 
@@ -90,7 +88,7 @@ def test_endpoints_exact():
     path = make_path(base, target)
     start = materialize(path, 0.0)
     assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(start.gates, base.gates))
-    end = materialize(path, path.theta_end)
+    end = materialize(path, 1.0)
     err = max(np.abs(a.matrix - b.matrix).max() for a, b in zip(end.gates, target.gates))
     assert err < 1e-8
 
@@ -120,12 +118,12 @@ def test_architecture_mismatch_rejected():
 
 def test_truncation_order_zero_and_theta_zero():
     path = make_path(random_brickwall(2, 2, seed=7), random_brickwall(2, 2, seed=8))
-    tp0 = TruncatedPath(path, 0)
-    out = materialize_truncated(tp0, 0.7)
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(out.circuit.gates, path.base.gates))
-    tp3 = TruncatedPath(path, 3)
-    out0 = materialize_truncated(tp3, 0.0)
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(out0.circuit.gates, path.base.gates))
+    out = materialize(path, 0.7, K=0)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(out.gates, path.base.gates))
+    out0 = materialize(path, 0.0, K=3)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(out0.gates, path.base.gates))
+    with pytest.raises(ValueError, match="K must be >= 0"):
+        materialize(path, 0.7, K=-1)
 
 
 def test_truncation_error_monotone_to_float_floor():
@@ -136,8 +134,7 @@ def test_truncation_error_monotone_to_float_floor():
     exact = amplitude(materialize(path, theta), "000", "000")
     errs = []
     for K in range(0, 16):
-        tp = TruncatedPath(path, K)
-        approx = amplitude(materialize_truncated(tp, theta).circuit, "000", "000")
+        approx = amplitude(materialize(path, theta, K), "000", "000")
         errs.append(abs(approx - exact))
     floor = 1e-13
     for a, b in zip(errs, errs[1:]):
@@ -149,13 +146,9 @@ def test_truncation_error_monotone_to_float_floor():
 
 def test_truncation_high_order_matches_exact():
     path = make_path(random_brickwall(3, 6, seed=11), random_brickwall(3, 6, seed=12))
-    tp = TruncatedPath(path, 12)
-    a_tr = amplitude(materialize_truncated(tp, 0.01).circuit, "000", "000")
+    a_tr = amplitude(materialize(path, 0.01, K=12), "000", "000")
     a_ex = amplitude(materialize(path, 0.01), "000", "000")
     assert abs(a_tr - a_ex) <= 1e-12
-    # reported per-gate remainder scale
-    bound = materialize_truncated(tp, 0.01).per_gate_error_bound
-    assert np.all(bound <= (0.01 * path.op_norms.max()) ** 13 / math.factorial(13) + 1e-30)
 
 
 def test_tv_check_zero_theta():
@@ -212,8 +205,7 @@ def _small_unitary(dim, seed):
 
 def test_polynomial_constant_for_k0():
     path = make_path(random_brickwall(2, 2, seed=18), random_brickwall(2, 2, seed=19))
-    tp = TruncatedPath(path, 0)
-    fit = amplitude_polynomial(tp, "00", chebyshev_nodes(0.0, 0.1, 3))
+    fit = amplitude_polynomial(path, 0, "00", chebyshev_nodes(0.0, 0.1, 3))
     base_peak = abs(amplitude(path.base, "00", "00")) ** 2
     assert fit.degree == 0
     assert abs(fit.p0_at(0.05) - base_peak) < 1e-12
@@ -224,12 +216,11 @@ def test_polynomial_single_gate_degree_two():
     base = Circuit(1, [Gate((0,), np.eye(2))])
     target = Circuit(1, [Gate((0,), _small_unitary(2, 5))])
     path = make_path(base, target)
-    tp = TruncatedPath(path, 1)  # m=1, K=1: p0 has degree 2
     nodes = chebyshev_nodes(0.0, 0.5, 3)
-    fit = amplitude_polynomial(tp, "0", nodes)
+    fit = amplitude_polynomial(path, 1, "0", nodes)  # m=1, K=1: p0 has degree 2
     assert fit.degree == 2
     for theta in np.linspace(0.0, 1.0, 7):
-        direct = abs(amplitude(materialize_truncated(tp, theta).circuit, "0", "0")) ** 2
+        direct = abs(amplitude(materialize(path, theta, K=1), "0", "0")) ** 2
         assert abs(fit.p0_at(theta) - direct) < 1e-10
 
 
@@ -245,22 +236,20 @@ def test_polynomial_interpolation_and_extrapolation():
     base = _two_gate_circuit(20)
     target = _two_gate_circuit(21)
     path = make_path(base, target)
-    tp = TruncatedPath(path, 2)
-    assert tp.amp_degree == 4  # m=2 gates, K=2
-    nodes = chebyshev_nodes(0.0, 0.1, 2 * tp.amp_degree + 1)
-    fit = amplitude_polynomial(tp, "00", nodes)
+    assert path.gate_count == 2  # m=2 gates, K=2: amplitude degree 4
+    nodes = chebyshev_nodes(0.0, 0.1, 2 * 4 + 1)
+    fit = amplitude_polynomial(path, 2, "00", nodes)
     held_out = chebyshev_nodes(0.003, 0.097, 10)
     for theta in held_out:
-        direct = abs(amplitude(materialize_truncated(tp, theta).circuit, "00", "00")) ** 2
+        direct = abs(amplitude(materialize(path, theta, K=2), "00", "00")) ** 2
         assert abs(fit.p0_at(theta) - direct) <= 1e-8
-    endpoint = abs(amplitude(materialize_truncated(tp, 1.0).circuit, "00", "00")) ** 2
+    endpoint = abs(amplitude(materialize(path, 1.0, K=2), "00", "00")) ** 2
     assert abs(fit.p0_at(1.0) - endpoint) <= 1e-6
 
 
 def test_polynomial_p0_coefficients_are_real_and_match():
     path = make_path(_two_gate_circuit(22), _two_gate_circuit(23))
-    tp = TruncatedPath(path, 2)
-    fit = amplitude_polynomial(tp, "00", chebyshev_nodes(0.0, 0.1, 9))
+    fit = amplitude_polynomial(path, 2, "00", chebyshev_nodes(0.0, 0.1, 9))
     assert fit.p0_coeffs.shape == (fit.degree + 1,)
     for theta in (0.02, 0.07):
         via_coeffs = np.polynomial.polynomial.polyval(theta, fit.p0_coeffs)
@@ -269,26 +258,17 @@ def test_polynomial_p0_coefficients_are_real_and_match():
 
 def test_polynomial_needs_enough_nodes():
     path = make_path(_two_gate_circuit(24), _two_gate_circuit(25))
-    tp = TruncatedPath(path, 2)  # p0 degree 8: needs 9 nodes
+    # K=2, p0 degree 8: needs 9 nodes
     with pytest.raises(ValueError, match="nodes"):
-        amplitude_polynomial(tp, "00", chebyshev_nodes(0.0, 0.1, 6))
+        amplitude_polynomial(path, 2, "00", chebyshev_nodes(0.0, 0.1, 6))
     with pytest.raises(ValueError, match="distinct"):
-        amplitude_polynomial(tp, "00", [0.01] * 9)
-
-
-def test_path_json_roundtrip():
-    path = make_path(random_brickwall(3, 4, seed=30), random_brickwall(3, 4, seed=31))
-    back = perturb.path_from_json(perturb.path_to_json(path))
-    a = materialize(path, 0.37)
-    b = materialize(back, 0.37)
-    assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a.gates, b.gates))
-    assert np.allclose(back.op_norms, path.op_norms)
+        amplitude_polynomial(path, 2, "00", [0.01] * 9)
 
 
 def test_ill_conditioned_nodes_rejected():
     path = make_path(_two_gate_circuit(26), _two_gate_circuit(27))
-    tp = TruncatedPath(path, 6)  # amplitude degree 12
+    # K=6: amplitude degree 12
     # nodes clustered pathologically at one end of the window
-    bad = np.concatenate([np.linspace(0, 1e-7, 2 * tp.amp_degree), [0.1]])
+    bad = np.concatenate([np.linspace(0, 1e-7, 2 * 12), [0.1]])
     with pytest.raises(IllConditionedNodes, match="chebyshev"):
-        amplitude_polynomial(tp, "00", bad)
+        amplitude_polynomial(path, 6, "00", bad)
