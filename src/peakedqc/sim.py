@@ -15,9 +15,13 @@ Conventions used throughout the package:
   one read from a file once (finite, unitary within ``UNITARITY_TOL``).
 
 Every gate goes through :func:`_apply_matrix`, which views the buffer as
-``(L, D, R)`` for contiguous ascending wires and folds a small ``R`` into
-the matrix; circuit passes alternate between two buffers.  ``N_MAX_DENSE``
-caps full unitaries, ``N_MAX_STATEVECTOR`` measured statevector peaks.
+``(L, D, R)`` for contiguous ascending wires and folds ``R`` into the
+matrix when ``L > 1`` and ``D * R <= FOLD_UPTO``; circuit passes alternate
+between two buffers.  Passes over buffers of at least ``FUSE_FROM``
+entries first :func:`fuse` the gates into blocks over at most
+``FUSE_WIDTH`` contiguous wires, so each block reads and writes the buffer
+once.  ``N_MAX_DENSE`` caps full unitaries, ``N_MAX_STATEVECTOR``
+statevectors.
 """
 from __future__ import annotations
 
@@ -29,7 +33,10 @@ import numpy as np
 
 N_MAX_DENSE = 12  # a 2^12 x 2^12 complex128 matrix is ~268 MB
 N_MAX_STATEVECTOR = 22  # two 2^22 complex128 buffers are 128 MB
-FOLD_BELOW = 16  # fold trailing extents below this into the matrix (BENCH_gate_kernel.json)
+# measured in BENCH_gate_fusion.json
+FOLD_UPTO = 32  # fold the trailing extent R into a D x D matrix while D * R is at most this
+FUSE_WIDTH = 5  # fused blocks span at most this many contiguous wires
+FUSE_FROM = 1 << 14  # fuse the passes over buffers of at least this many entries
 
 UNITARITY_TOL = 1e-12
 
@@ -166,6 +173,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, bits: str | None = None) -> "StateVector":
+        if n > N_MAX_STATEVECTOR:
+            raise StructureError(f"a statevector on n={n} wires exceeds N_MAX_STATEVECTOR={N_MAX_STATEVECTOR}")
         amps = np.zeros(1 << n, dtype=complex)
         amps[0 if bits is None else bit_index(bits, n)] = 1.0
         return cls(n, amps)
@@ -190,6 +199,8 @@ class SampleSet:
         if not 1 <= self.n <= 63:
             raise StructureError(f"shots on {self.n} wires: 1 to 63 are supported")
         idx = np.asarray(self.indices)
+        if idx.ndim != 1:
+            raise StructureError(f"shots must be a flat list, got an array of shape {idx.shape}")
         if idx.dtype.kind not in "ui":  # bit strings, checked and packed in one pass
             strings = idx.astype(str).ravel()
             codes = strings.astype(f"U{self.n}").view(np.uint32).reshape(-1, self.n) - np.uint32(ord("0"))
@@ -251,10 +262,9 @@ def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray
 
     Both are C-contiguous buffers with one length-2 axis per wire (trailing
     batch axes ride along).  Contiguous ascending wires view them as
-    ``(L, D, R)``: one stacked ``matmul`` if ``R >= FOLD_BELOW`` or
-    ``L == 1``, else one GEMM ``(L, D*R) @ (M (x) I_R)^T`` (never for
-    ``D >= FOLD_BELOW``, as the folded matrix is ``(D*R)^2``).  Other wire
-    tuples go through ``moveaxis``.
+    ``(L, D, R)``: one GEMM ``(L, D*R) @ (M (x) I_R)^T`` if ``L > 1`` and
+    the folded matrix's side ``D*R`` is at most ``FOLD_UPTO``, else one
+    stacked ``matmul``.  Other wire tuples go through ``moveaxis``.
     """
     out = tensor if out is None else out
     k, first, dim = len(wires), wires[0], 1 << len(wires)
@@ -263,15 +273,58 @@ def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray
         np.moveaxis(out, wires, range(k))[...] = (matrix @ moved.reshape(dim, -1)).reshape(moved.shape)
         return
     left, right = 1 << first, tensor.size >> (first + k)
-    if right >= FOLD_BELOW or left == 1 or dim >= FOLD_BELOW:
-        np.matmul(matrix, tensor.reshape(left, dim, right), out=out.reshape(left, dim, right))
-    else:
+    if left > 1 and dim * right <= FOLD_UPTO:
         folded = (matrix.T[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, -1)
         np.matmul(tensor.reshape(left, -1), folded, out=out.reshape(left, -1))
+    else:
+        np.matmul(matrix, tensor.reshape(left, dim, right), out=out.reshape(left, dim, right))
+
+
+def _embed(matrix: np.ndarray, small: tuple[int, ...], big: tuple[int, ...],
+           onto: np.ndarray | None = None) -> np.ndarray:
+    """Lift a gate matrix on wires ``small`` to the wire tuple ``big`` or, given
+    ``onto``, multiply the lift onto that matrix from the left in place."""
+    lifted = np.eye(1 << len(big), dtype=complex) if onto is None else onto
+    _apply_matrix(lifted.reshape((2,) * len(big) + (-1,)), tuple(big.index(w) for w in small), matrix)
+    return lifted
+
+
+def fuse(gates: Sequence[Gate], width: int) -> list[Gate]:
+    """The same product as ``gates``, with gates merged into blocks on contiguous wires.
+
+    Greedy, in gate order: a gate joins the last block that touches any of
+    its wires if the joined span (lowest to highest wire) stays within
+    ``width`` wires, else it starts a block.  No block after that one
+    touches the gate's wires, so moving the gate there changes nothing.
+    Blocks of one gate come back as that gate; a block of several is one
+    gate on its ascending span.
+    """
+    blocks: list[tuple[set[int], list[Gate]]] = []
+    for g in gates:
+        last = next((b for b in reversed(blocks) if b[0].intersection(g.wires)), None)
+        joined = last[0].union(g.wires) if last else set(g.wires)
+        if last and max(joined) - min(joined) < width:
+            last[0].update(g.wires)
+            last[1].append(g)
+        else:
+            blocks.append((set(g.wires), [g]))
+    fused = []
+    for touched, members in blocks:
+        if len(members) == 1:
+            fused.append(members[0])
+            continue
+        span = tuple(range(min(touched), max(touched) + 1))
+        matrix = np.eye(1 << len(span), dtype=complex)
+        for g in members:
+            _embed(g.matrix, g.wires, span, onto=matrix)
+        fused.append(Gate(span, matrix))
+    return fused
 
 
 def _run_gates(buffer: np.ndarray, shape: tuple[int, ...], gates: Sequence[Gate]) -> np.ndarray:
     """Apply ``gates`` in order, alternating with a spare; returns the buffer holding the result."""
+    if buffer.size >= FUSE_FROM:
+        gates = fuse(gates, FUSE_WIDTH)
     src, dst = buffer.reshape(shape), np.empty_like(buffer).reshape(shape)
     for g in gates:
         _apply_matrix(src, g.wires, g.matrix, out=dst)

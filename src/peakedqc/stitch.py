@@ -27,7 +27,7 @@ from .sim import (
     Circuit,
     Gate,
     StructureError,
-    _apply_matrix,
+    _embed,
     amplitude,
     as_rng,
     full_unitary,
@@ -213,13 +213,6 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
 class RewriteResult(NamedTuple):
     circuit: Circuit
     provenance: list[frozenset[int]]  # block ids feeding each gate
-
-
-def _embed(matrix: np.ndarray, small: tuple[int, ...], big: tuple[int, ...]) -> np.ndarray:
-    """Lift a gate matrix on wires ``small`` to the wire tuple ``big``."""
-    lifted = np.eye(1 << len(big), dtype=complex)
-    _apply_matrix(lifted.reshape((2,) * len(big) + (-1,)), tuple(big.index(w) for w in small), matrix)
-    return lifted
 
 
 def _mergeable(target: Gate, other: Gate) -> bool:

@@ -444,8 +444,21 @@ def _challenge_without_circuit(tmp_path, pub, priv, shots):
     return ("sample", "--challenge", bad, "--out", tmp_path / "s.txt")
 
 
+def _nested_shots_json(tmp_path, pub, priv, shots):
+    bad = tmp_path / "nested.json"
+    bad.write_text('{"n": 4, "shots": [[0, 1]]}')
+    return ("verify", "--private", priv, "--shots", bad)
+
+
+def _too_wide_for_statevector(tmp_path, pub, priv, shots):
+    wide = tmp_path / "wide.public.json"
+    wide.write_text('{"n": 40, "circuit": {"n": 40, "gates": [], "architecture": null}}')
+    return ("sample", "--challenge", wide, "--shots", 10, "--out", tmp_path / "s.txt")
+
+
 @pytest.mark.parametrize("case", [_public_as_private, _private_not_json, _shots_json_without_n,
-                                  _challenge_without_circuit])
+                                  _challenge_without_circuit, _nested_shots_json,
+                                  _too_wide_for_statevector])
 def test_malformed_files_exit_2(tmp_path, capsys, case):
     pub_path, priv_path = gen_conditioned(tmp_path, n=4, seed=92)
     shots_path = tmp_path / "good.txt"

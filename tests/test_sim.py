@@ -119,11 +119,14 @@ def einsum_apply(tensor, wires, matrix):
 
 
 def _layouts(n):
-    # an adjacent pair at every position (so trailing extents below and above
-    # sim.FOLD_BELOW both occur), one wire, three adjacent wires, the full
-    # register, a descending pair and a non-adjacent triple
+    # an adjacent pair at every position (so trailing extents on both sides of
+    # the sim.FOLD_UPTO test occur), one wire, three adjacent wires, the full
+    # register, a descending pair, a non-adjacent triple and, from n = 6, four
+    # and five wires at the tail (folded) and five ending one wire before it
+    # (not folded)
+    tails = [tuple(range(n - 4, n)), tuple(range(n - 5, n)), tuple(range(n - 6, n - 1))] if n > 5 else []
     return ([(w, w + 1) for w in range(n - 1)]
-            + [(0,), (n // 2,), (n - 1,), (1, 2, 3), tuple(range(n)), (n - 2, n - 3), (0, 2, n - 1)])
+            + [(0,), (n // 2,), (n - 1,), (1, 2, 3), tuple(range(n)), (n - 2, n - 3), (0, 2, n - 1)] + tails)
 
 
 def _kernel_circuit(n, wires, seed):
@@ -155,6 +158,68 @@ def test_full_unitary_matches_einsum_reference(wires):
     for g in circ.gates:
         ref = einsum_apply(ref, g.wires, g.matrix)
     assert np.abs(full_unitary(circ) - ref.reshape(32, 32)).max() < 1e-12
+
+
+def test_full_unitary_above_fuse_from_matches_einsum_reference():
+    n, d = 8, 256
+    assert d * d >= sim.FUSE_FROM
+    for wires in _layouts(n):
+        circ = _kernel_circuit(n, wires, seed=sum(wires))
+        ref = np.eye(d, dtype=complex).reshape((2,) * n + (d,))
+        for g in circ.gates:
+            ref = einsum_apply(ref, g.wires, g.matrix)
+        assert np.abs(full_unitary(circ) - ref.reshape(d, d)).max() < 1e-12
+
+
+def _mixed_gates(n, seed):
+    """1-, 2- and 3-wire gates, descending pairs, non-adjacent triples and the
+    controlled gates of ``controlled_embedding``, in a random order."""
+    rng = np.random.default_rng(seed)
+    layouts = [(0,), (n - 1,), (2, 3), (3, 2), (n - 1, n - 2), (1, 2, 3), (0, 2, 5), (n - 1, 1, 4),
+               (4, 5, 6, 7), (0, 1, 2, 3, 4, 5)]
+    gates = []
+    for i in np.concatenate([rng.permutation(len(layouts)), rng.permutation(len(layouts))]):
+        wires = layouts[i]
+        dim = 1 << len(wires)
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        gates.append(Gate(wires, np.linalg.qr(m)[0]))
+    gates += controlled_embedding(random_brickwall(n - 1, 3, seed=rng)).gates
+    return gates
+
+
+@pytest.mark.parametrize("width", [2, 3, sim.FUSE_WIDTH, 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_fuse_blocks_are_contiguous_and_within_width(width, seed):
+    gates = _mixed_gates(9, seed)
+    fused = sim.fuse(gates, width)
+    assert len(fused) < len(gates)
+    for g in fused:
+        if any(g is h for h in gates):
+            continue
+        assert g.wires == tuple(range(g.wires[0], g.wires[0] + len(g.wires)))
+        assert len(g.wires) <= width
+
+
+def test_fuse_passes_single_and_wide_gates_through():
+    assert sim.fuse([], sim.FUSE_WIDTH) == []
+    g = Gate((4, 1), np.eye(4))
+    assert sim.fuse([g], sim.FUSE_WIDTH)[0] is g
+    wide = Gate((0, 6), np.eye(4))
+    fused = sim.fuse([Gate((0, 1), np.eye(4)), wide, Gate((5, 6), np.eye(4))], sim.FUSE_WIDTH)
+    assert fused[1] is wide and len(fused) == 3
+
+
+@pytest.mark.parametrize("width", [2, 3, sim.FUSE_WIDTH])
+@pytest.mark.parametrize("seed", range(3))
+def test_fused_pass_matches_unfused_pass(width, seed):
+    n = 9
+    gates = _mixed_gates(n, seed)
+    rng = np.random.default_rng(seed)
+    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    assert vec.size < sim.FUSE_FROM  # so apply_circuit itself applies gate by gate
+    plain = apply_circuit(StateVector(n, vec), Circuit(n, gates)).amps
+    fused = apply_circuit(StateVector(n, vec), Circuit(n, sim.fuse(gates, width))).amps
+    assert np.abs(fused - plain).max() < 1e-12
 
 
 def test_full_unitary_identity_and_h():
@@ -349,7 +414,13 @@ def test_sampleset_holds_indices():
 
 
 @pytest.mark.parametrize("n, shots", [(64, ["0" * 64]), (3, ["101", "10"]), (3, ["1010"]), (3, ["1a1"]),
-                                      (3, np.array([3, -1])), (3, np.array([8]))])
+                                      (3, np.array([3, -1])), (3, np.array([8])),
+                                      (4, [[0, 1], [5, 5]]), (4, [["0101"]]), (4, 5)])
 def test_sampleset_rejects_malformed(n, shots):
     with pytest.raises(sim.StructureError):
         sim.SampleSet(n, shots)
+
+
+def test_statevector_cap_refused_before_allocation():
+    with pytest.raises(StructureError, match="N_MAX_STATEVECTOR"):
+        sample(Circuit(40), "0" * 40, 10, seed=0)
