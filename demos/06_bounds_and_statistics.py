@@ -7,7 +7,6 @@ cannot be read as probabilities.
 import numpy as np
 
 from peakedqc.bounds import (
-    BoundConstants,
     acceptance_haar,
     acceptance_kdesign_bound,
     compression_probability_bound,
@@ -27,12 +26,11 @@ for n in (4, 8, 16, 32):
           f"4-design Markov bound log10 <= {markov.value.log10():7.1f}")
 
 print("\npacking vs covering at n=10, k=4:")
-consts = BoundConstants()
-pack = packing_log(1 << 10, 4, 0.5, consts)
+pack = packing_log(1 << 10, 4, 0.5)
 print(f"  packing  log {pack.value.log:10.1f}  ({pack.formula}, {pack.semantics})")
 for s in (5, 10, 20):
-    cover = covering_log(10, s, 0.1, consts)
-    comp = compression_probability_bound(10, 4, s, 0.1, 0.5, consts)
+    cover = covering_log(10, s, 0.1)
+    comp = compression_probability_bound(10, 4, s, 0.1, 0.5)
     print(f"  s={s:3d}: covering log {cover.value.log:8.1f}  "
           f"compression log-prob {comp.value.log:8.1f}")
 

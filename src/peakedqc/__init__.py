@@ -14,11 +14,11 @@ from .sim import (
     DenseCapError,
     Gate,
     SampleSet,
-    StateVector,
     StructureError,
     adjoint,
     amplitude,
     apply_circuit,
+    basis_state,
     compose,
     controlled_embedding,
     full_unitary,
@@ -41,6 +41,6 @@ from .perturb import PerturbationPath, amplitude_polynomial, make_path, material
 from .stitch import StitchPlan, make_plan, predict_peak_recurrence
 from .stitch import stitch as stitch_blocks  # the submodule keeps the name `stitch`
 from .noise import BSC, GlobalDepolarizing, TSparse, apply_noise, hba_estimate, majority_decode
-from .bounds import BoundConstants, LogNumber, peak_to_fidelity
+from .bounds import LogNumber, peak_to_fidelity
 
 __version__ = "0.1.0"

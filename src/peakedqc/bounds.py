@@ -2,16 +2,23 @@
 
 Counts like ``C(d+k-2, k)`` with ``d = 2^n`` overflow floats almost
 immediately, so every quantity is carried as a :class:`LogNumber` (natural
-log of a nonnegative magnitude).  All unnamed universal constants default
-to 1 and are echoed in every report; each report also labels whether the
-value is exact, an upper bound or a lower bound, so a Markov bound cannot
-be mistaken for a probability.
+log of a nonnegative magnitude).  The unnamed universal constants of the
+source bounds are the module constants ``C_COVER``, ``KAPPA``, ``C_DELTA``,
+``ALPHA_LB`` and ``C4``, all fixed at 1 and echoed in every report; each
+report also labels whether the value is exact, an upper bound or a lower
+bound, so a Markov bound cannot be mistaken for a probability.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+C_COVER = 1.0
+KAPPA = 1.0
+C_DELTA = 1.0
+ALPHA_LB = 1.0
+C4 = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,17 +56,6 @@ class LogNumber:
             return self
         hi, lo = max(self.log, other.log), min(self.log, other.log)
         return LogNumber(hi + math.log1p(math.exp(lo - hi)))
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Universal constants left symbolic in the source bounds; all default 1."""
-
-    C_cover: float = 1.0
-    kappa: float = 1.0
-    c_delta: float = 1.0
-    alpha_lb: float = 1.0
-    c4: float = 1.0
 
 
 @dataclass
@@ -135,63 +131,58 @@ def acceptance_kdesign_bound(d: int, delta: float, k: int) -> BoundReport:
 # covering / packing / gate-count bounds
 
 
-def covering_log(n: int, s: int, eps: float, consts: BoundConstants | None = None) -> BoundReport:
+def covering_log(n: int, s: int, eps: float) -> BoundReport:
     """Covering number of circuits with at most s two-qubit gates.
 
     ``N(eps) <= (C n^2 s / eps)^(kappa s)``; ``s = 0`` covers the single
     identity point.
     """
-    consts = consts or BoundConstants()
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     if s < 0:
         raise ValueError("s must be >= 0")
-    log = 0.0 if s == 0 else consts.kappa * s * math.log(consts.C_cover * n**2 * s / eps)
+    log = 0.0 if s == 0 else KAPPA * s * math.log(C_COVER * n**2 * s / eps)
     return BoundReport(
         value=LogNumber(log),
         formula="(C n^2 s / eps)^(kappa s)",
         semantics="upper",
         inputs={"n": n, "s": s, "eps": eps},
-        constants={"C_cover": consts.C_cover, "kappa": consts.kappa},
+        constants={"C_cover": C_COVER, "kappa": KAPPA},
     )
 
 
-def packing_log(d: int, k: int, delta: float, consts: BoundConstants | None = None) -> BoundReport:
+def packing_log(d: int, k: int, delta: float) -> BoundReport:
     """Packing count ``c_delta * C(d+k-2, k)`` of separated peaked unitaries."""
-    consts = consts or BoundConstants()
     if k > d - 1:
         raise ValueError(f"packing bound needs k <= d-1, got k={k}, d={d}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    log = math.log(consts.c_delta) + log_binomial(d + k - 2, k)
+    log = math.log(C_DELTA) + log_binomial(d + k - 2, k)
     return BoundReport(
         value=LogNumber(log),
         formula="c_delta * C(d + k - 2, k)",
         semantics="lower",
         inputs={"d": d, "k": k, "delta": delta},
-        constants={"c_delta": consts.c_delta},
+        constants={"c_delta": C_DELTA},
     )
 
 
-def compression_probability_bound(
-    n: int, k: int, s: int, eps: float, delta: float, consts: BoundConstants | None = None
-) -> BoundReport:
+def compression_probability_bound(n: int, k: int, s: int, eps: float, delta: float) -> BoundReport:
     """Chance a peaked-ensemble draw sits within eps of an s-gate circuit.
 
     Covering over packing, i.e. ``(C n^2 s/eps)^(kappa s) / (c_delta
     C(d+k-2, k))``; the additive ``O(eps)`` term is reported separately
     rather than folded in.
     """
-    consts = consts or BoundConstants()
-    cover = covering_log(n, s, eps, consts)
-    pack = packing_log(1 << n, k, delta, consts)
+    cover = covering_log(n, s, eps)
+    pack = packing_log(1 << n, k, delta)
     ratio = cover.value / pack.value
     return BoundReport(
         value=ratio,
         formula="(C n^2 s/eps)^(kappa s) / (c_delta C(d+k-2, k))  [+ O(eps) additive]",
         semantics="upper",
         inputs={"n": n, "k": k, "s": s, "eps": eps, "delta": delta},
-        constants={"C_cover": consts.C_cover, "kappa": consts.kappa, "c_delta": consts.c_delta},
+        constants={"C_cover": C_COVER, "kappa": KAPPA, "c_delta": C_DELTA},
         extra={"additive_eps_term": eps, "covering_log": cover.value.log, "packing_log": pack.value.log},
     )
 
@@ -203,28 +194,27 @@ class GateCountBound(NamedTuple):
     report: BoundReport
 
 
-def gate_count_lower_bound(n: int, k: int | None, consts: BoundConstants | None = None) -> GateCountBound:
+def gate_count_lower_bound(n: int, k: int | None) -> GateCountBound:
     """Minimum two-qubit gates to approximate a typical peaked draw.
 
     ``k`` given: design regime, ``floor(alpha_lb * k n / ln(k n))``.
     ``k=None``: Haar regime, ``floor(c4 * 4^n)`` (log form for large n).
     """
-    consts = consts or BoundConstants()
     if k is None:
         regime = "haar"
-        log = math.log(consts.c4) + n * math.log(4)
+        log = math.log(C4) + n * math.log(4)
         formula = "c4 * 4^n"
         inputs: dict = {"n": n}
-        constants = {"c4": consts.c4}
+        constants = {"c4": C4}
     else:
         if k * n < 3:
             raise ValueError("need k*n >= 3 so that ln(k n) > 0")
         regime = "design"
-        val = consts.alpha_lb * k * n / math.log(k * n)
+        val = ALPHA_LB * k * n / math.log(k * n)
         log = math.log(val)
         formula = "alpha_lb * k n / ln(k n)"
         inputs = {"n": n, "k": k, "k_is_log2_n": k == round(math.log2(n)) if n > 1 else False}
-        constants = {"alpha_lb": consts.alpha_lb}
+        constants = {"alpha_lb": ALPHA_LB}
     s_log = LogNumber(log)
     s_int = None
     if log < 60 * math.log(2):

@@ -5,7 +5,7 @@ circuit plus a hash commitment to the peak string) and a private file (the
 peak string, its weight, generation metadata and the commitment salt).
 The commitment lets a challenger audit after the fact that the verifier
 never moved the goalposts.  File writes are atomic (temp file + rename)
-and every output embeds the fully-resolved run configuration.
+and every private file embeds the run configuration, output paths aside.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import noise as noise_mod
@@ -25,6 +24,7 @@ from . import synth as synth_mod
 from .ensembles import (
     OverlapStats,
     PeakedInstance,
+    PostselectExhausted,
     conditioned_generate,
     hs_overlap,
     instance_from_json,
@@ -75,34 +75,22 @@ def commitment_digest(peak_string: str, salt: bytes) -> str:
     return hashlib.sha256(peak_string.encode() + salt).hexdigest()
 
 
-@dataclass
-class Challenge:
-    """Public circuit + commitment, private witness + salt."""
-
-    public: dict
-    private: dict
-
-    @classmethod
-    def from_instance(cls, inst: PeakedInstance, rng, config: dict, plan: dict | None = None) -> "Challenge":
-        salt = rng.bytes(16)
-        n = inst.circuit.n
-        private = instance_to_json(inst, include_factors=False)
-        private.update(n=n, salt=salt.hex(), commitment=commitment_digest(inst.peak_string, salt),
-                       plan=plan, config=config)
-        # the public side must carry no generation parameters: the seed alone
-        # would let a challenger regenerate the instance and read off the peak
-        public = {
-            "n": n,
-            "circuit": private["circuit"],
-            "commitment": private["commitment"],
-            "config": {"command": config.get("command"), "n": n},
-        }
-        return cls(public, private)
-
-    def check_commitment(self) -> bool:
-        return self.public["commitment"] == commitment_digest(
-            self.private["peak_string"], bytes.fromhex(self.private["salt"])
-        )
+def challenge_files(inst: PeakedInstance, rng, config: dict, plan: dict | None = None) -> tuple[dict, dict]:
+    """The public file (circuit + commitment) and the private one (witness + salt)."""
+    salt = rng.bytes(16)
+    n = inst.circuit.n
+    private = instance_to_json(inst)
+    private.update(n=n, salt=salt.hex(), commitment=commitment_digest(inst.peak_string, salt),
+                   plan=plan, config=config)
+    # the public side must carry no generation parameters: the seed alone
+    # would let a challenger regenerate the instance and read off the peak
+    public = {
+        "n": n,
+        "circuit": private["circuit"],
+        "commitment": private["commitment"],
+        "config": {"command": config.get("command"), "n": n},
+    }
+    return public, private
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +126,8 @@ def cmd_gen(args) -> int:
         # a guessable default seed would let anyone regenerate the peak
         args.seed = secrets.randbits(63)
     rng = as_rng(args.seed)
-    config = vars(args).copy()
-    config.pop("func", None)
+    # output paths stay out of the files, so an instance's bytes do not depend on where it was written
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out_prefix", "history_out")}
     plan_obj, rc = None, 0
 
     if args.method == "postselect":
@@ -173,11 +161,11 @@ def cmd_gen(args) -> int:
             rc = 1
     else:
         blocks, inst, plan_obj = _stitch_blocks(args.blocks, args.path)
-        plan_obj["blocks"] = [instance_to_json(b, include_factors=False) for b in blocks]
+        plan_obj["blocks"] = [instance_to_json(b) for b in blocks]
 
-    challenge = Challenge.from_instance(inst, rng, config, plan_obj)
-    write_json(f"{args.out_prefix}.public.json", challenge.public)
-    write_json(f"{args.out_prefix}.private.json", challenge.private)
+    public, private = challenge_files(inst, rng, config, plan_obj)
+    write_json(f"{args.out_prefix}.public.json", public)
+    write_json(f"{args.out_prefix}.private.json", private)
     print(f"wrote {args.out_prefix}.public.json and {args.out_prefix}.private.json")
     return rc
 
@@ -314,7 +302,7 @@ def cmd_stitch(args) -> int:
     if args.rewrite:
         inst.circuit = stitch_mod.boundary_rewrite(inst.circuit, seed=args.seed,
                                                    boundaries=plan_obj["boundaries"]).circuit
-    obj = instance_to_json(inst, include_factors=False)
+    obj = instance_to_json(inst)
     obj["plan"] = plan_obj
     write_json(args.out, obj)
     print(f"wrote {args.out}")
@@ -468,9 +456,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StructureError as exc:  # malformed input files: one line, exit code 2
+    except ValueError as exc:  # malformed files or out-of-range arguments: one line, exit code 2
         print(f"peakedqc: {exc}", file=sys.stderr)
         return 2
+    except PostselectExhausted as exc:  # no instance, no files
+        print(f"peakedqc: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

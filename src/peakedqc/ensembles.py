@@ -29,6 +29,7 @@ from .sim import (
     amplitude,
     apply_circuit,
     as_rng,
+    basis_state,
     bit_index,
     brickwall_pairs,
     circuit_from_json,
@@ -36,7 +37,6 @@ from .sim import (
     compose,
     full_unitary,
     output_distribution,
-    StateVector,
 )
 
 
@@ -149,10 +149,10 @@ def postselect_generate(
     depth = 4 * n if depth is None else depth
 
     c = random_brickwall(n, depth, rng)
-    target_col = apply_circuit(StateVector.basis(n), c).amps
+    target_col = apply_circuit(basis_state(n), c)
     for trial in range(1, max_trials + 1):
         c_prime = random_brickwall(n, depth, rng)
-        phi = apply_circuit(StateVector.basis(n, x_star), c_prime).amps
+        phi = apply_circuit(basis_state(n, x_star), c_prime)
         peak = abs(np.vdot(phi, target_col)) ** 2
         if peak >= delta_target:
             composed = compose(adjoint(c_prime), c)
@@ -399,7 +399,8 @@ def haar_anticoncentration_fraction(d: int, alpha: float = 1.0) -> float:
 # JSON
 
 
-def instance_to_json(inst: PeakedInstance, include_factors: bool = True) -> dict:
+def instance_to_json(inst: PeakedInstance) -> dict:
+    """The instance without its factors, which stay in memory only."""
     obj = {
         "circuit": circuit_to_json(inst.circuit),
         "peak_string": inst.peak_string,
@@ -409,27 +410,15 @@ def instance_to_json(inst: PeakedInstance, include_factors: bool = True) -> dict
     }
     if inst.peakedness_is_predicted:
         obj["peakedness_is_predicted"] = True
-    if include_factors and inst.factors is not None:
-        obj["factors"] = {
-            "c": circuit_to_json(inst.factors[0]),
-            "c_prime": circuit_to_json(inst.factors[1]),
-        }
     return obj
 
 
 def instance_from_json(obj: dict) -> PeakedInstance:
-    factors = None
-    if obj.get("factors"):
-        factors = (
-            circuit_from_json(obj["factors"]["c"]),
-            circuit_from_json(obj["factors"]["c_prime"]),
-        )
     return PeakedInstance(
         circuit=circuit_from_json(obj["circuit"]),
         peak_string=obj["peak_string"],
         peakedness=float(obj["peakedness"]),
         method=obj["method"],
         seed=obj.get("seed"),
-        factors=factors,
         peakedness_is_predicted=bool(obj.get("peakedness_is_predicted", False)),
     )

@@ -27,6 +27,8 @@ MAJORITY_C = 2.0
 CENTER_C1 = 0.02
 DEPOL_C = 2.0
 
+CENTER_BLOCK_ENTRIES = 1 << 20  # distance-matrix entries per block of hamming_center_decode
+
 
 # ---------------------------------------------------------------------------
 # noise models
@@ -189,7 +191,7 @@ def hamming_center_decode(samples: SampleSet, t: int) -> tuple[str, int]:
     values, weights = np.unique(samples.indices, return_counts=True)
     radius = 2 * t
     density = np.empty(values.size, dtype=np.int64)
-    chunk = max(1, (1 << 20) // values.size)
+    chunk = max(1, CENTER_BLOCK_ENTRIES // values.size)
     for lo in range(0, values.size, chunk):
         near = np.bitwise_count(values[lo : lo + chunk, None] ^ values) <= radius
         density[lo : lo + chunk] = near @ weights

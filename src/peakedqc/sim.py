@@ -165,28 +165,6 @@ class Circuit:
 
 
 @dataclass(eq=False)
-class StateVector:
-    """``2^n`` complex amplitudes; unit norm for unitary circuits."""
-
-    n: int
-    amps: np.ndarray
-
-    @classmethod
-    def basis(cls, n: int, bits: str | None = None) -> "StateVector":
-        if n > N_MAX_STATEVECTOR:
-            raise StructureError(f"a statevector on n={n} wires exceeds N_MAX_STATEVECTOR={N_MAX_STATEVECTOR}")
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0 if bits is None else bit_index(bits, n)] = 1.0
-        return cls(n, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
-@dataclass(eq=False)
 class SampleSet:
     """n-bit outcomes (n <= 63) as ``uint64`` basis indices; ``shots`` renders
     them as strings.  Bit strings passed as ``indices`` are parsed once here."""
@@ -332,23 +310,29 @@ def _run_gates(buffer: np.ndarray, shape: tuple[int, ...], gates: Sequence[Gate]
     return src.reshape(buffer.shape)
 
 
-def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
-    """Product of the gate actions in order; returns a fresh state."""
-    if state.n != circuit.n:
-        raise StructureError(f"state on {state.n} wires, circuit on {circuit.n}")
-    amps = np.array(state.amps, dtype=complex)
-    return StateVector(circuit.n, _run_gates(amps, (2,) * circuit.n, circuit.gates))
+def basis_state(n: int, bits: str | None = None) -> np.ndarray:
+    """The ``2^n`` amplitudes of ``|bits>`` (``|0...0>`` by default)."""
+    if n > N_MAX_STATEVECTOR:
+        raise StructureError(f"a statevector on n={n} wires exceeds N_MAX_STATEVECTOR={N_MAX_STATEVECTOR}")
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0 if bits is None else bit_index(bits, n)] = 1.0
+    return amps
+
+
+def apply_circuit(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Product of the gate actions in order on ``2^n`` amplitudes; returns a fresh array."""
+    if len(amps) != 1 << circuit.n:
+        raise StructureError(f"{len(amps)} amplitudes for a circuit on {circuit.n} wires")
+    return _run_gates(np.array(amps, dtype=complex), (2,) * circuit.n, circuit.gates)
 
 
 def amplitude(circuit: Circuit, bits_in: str, bits_out: str) -> complex:
     """``<out|U|in>`` for the circuit unitary ``U``."""
-    state = apply_circuit(StateVector.basis(circuit.n, bits_in), circuit)
-    return complex(state.amps[bit_index(bits_out, circuit.n)])
+    return complex(apply_circuit(basis_state(circuit.n, bits_in), circuit)[bit_index(bits_out, circuit.n)])
 
 
 def output_distribution(circuit: Circuit, bits_in: str | None = None) -> np.ndarray:
-    state = apply_circuit(StateVector.basis(circuit.n, bits_in), circuit)
-    return state.probabilities()
+    return np.abs(apply_circuit(basis_state(circuit.n, bits_in), circuit)) ** 2
 
 
 def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | None = None) -> SampleSet:

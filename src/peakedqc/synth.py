@@ -22,12 +22,12 @@ from .sim import (
     Circuit,
     Gate,
     SU4_BASIS,
-    StateVector,
     StructureError,
     _apply_matrix,
     adjoint,
     amplitude,
     apply_circuit,
+    basis_state,
     brickwall_pairs,
     compose,
     spawn_rngs,
@@ -115,21 +115,21 @@ def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.n
 
 
 def _target_column(target: Circuit) -> np.ndarray:
-    return apply_circuit(StateVector.basis(target.n), target).amps
+    return apply_circuit(basis_state(target.n), target)
 
 
 def objective(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) -> float:
     """``p0 = |<x*| C'(theta)^dag C |0^n>|^2`` via two statevector passes."""
     x_star = "0" * target.n if x_star is None else x_star
     c_state = _target_column(target)
-    phi = apply_circuit(StateVector.basis(target.n, x_star), pcirc.materialize()).amps
+    phi = apply_circuit(basis_state(target.n, x_star), pcirc.materialize())
     return float(abs(np.vdot(phi, c_state)) ** 2)
 
 
 def gradient(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) -> np.ndarray:
     """Exact adjoint gradient of the objective, same shape as the params."""
     x_star = "0" * target.n if x_star is None else x_star
-    start = StateVector.basis(target.n, x_star).amps
+    start = basis_state(target.n, x_star)
     return _value_and_grad(_target_column(target), pcirc, start)[1]
 
 
@@ -215,7 +215,7 @@ def multistart_search(
 
     t0 = time.perf_counter()
     c_state = _target_column(target)
-    start_state = StateVector.basis(target.n, x_star).amps
+    start_state = basis_state(target.n, x_star)
 
     best_p0 = -1.0
     best_theta = None

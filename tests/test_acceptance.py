@@ -58,6 +58,7 @@ def report(name, ok, detail):
 # -- criterion 1: postselection acceptance rate ------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_postselection_acceptance():
     n, trials = 2, 100_000
     lines = []

@@ -6,7 +6,6 @@ import pytest
 
 from peakedqc import bounds
 from peakedqc.bounds import (
-    BoundConstants,
     LogNumber,
     acceptance_haar,
     acceptance_kdesign_bound,
@@ -77,7 +76,7 @@ def test_kdesign_bound_values():
 
 def test_covering_log_values():
     assert covering_log(5, 0, 0.1).value.value() == 1.0
-    rep = covering_log(10, 100, 0.1, BoundConstants())
+    rep = covering_log(10, 100, 0.1)
     assert abs(rep.value.log - 100 * math.log(1e5)) < 1e-9
     # doubling s more than doubles the log
     l1 = covering_log(10, 50, 0.1).value.log

@@ -1,4 +1,4 @@
-"""Challenge workflow: file formats, commitments, end-to-end verify."""
+"""The challenge workflow: file formats, commitments, end-to-end verify."""
 import json
 import math
 import os
@@ -9,7 +9,6 @@ import textwrap
 import numpy as np
 import pytest
 from peakedqc.cli import (
-    Challenge,
     commitment_digest,
     load_shots,
     main,
@@ -39,7 +38,7 @@ def test_gen_postselect_files(tmp_path):
     pub, priv = read_json(pub_path), read_json(priv_path)
     assert priv["peakedness"] >= 0.9
     assert pub["commitment"] == priv["commitment"]
-    assert Challenge(pub, priv).check_commitment()
+    assert pub["commitment"] == commitment_digest(priv["peak_string"], bytes.fromhex(priv["salt"]))
     circuit_from_json(pub["circuit"])  # parses
 
 
@@ -530,3 +529,40 @@ def test_verify_radius_outside_0_n_exits_2(tmp_path, capsys, radius):
     assert run_cli("verify", "--private", priv_path, "--shots", shots_path, *radius) == 2
     err = capsys.readouterr().err
     assert err.startswith("peakedqc: radius") and err.count("\n") == 1
+
+
+def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys):
+    pub_path, priv_path = gen_conditioned(tmp_path, n=2, seed=98)
+    prefix = tmp_path / "none"
+    cases = [
+        (2, ["sample", "--challenge", pub_path, "--shots", 0, "--out", tmp_path / "s.txt"]),
+        (2, ["gen", "--method", "postselect", "--conditioned", "--n", 3, "--delta", 1.5,
+             "--seed", 1, "--out-prefix", prefix]),
+        (2, ["gen", "--method", "variational", "--n", 3, "--seeds", 0, "--seed", 1, "--out-prefix", prefix]),
+        (2, ["bounds", "acceptance", "--delta", 2]),
+        (2, ["perturb", "--base", pub_path, "--target", priv_path, "--theta", "x"]),
+        (1, ["gen", "--method", "postselect", "--n", 3, "--delta", 0.9999, "--max-trials", 2,
+             "--seed", 1, "--out-prefix", prefix]),
+    ]
+    capsys.readouterr()
+    for code, argv in cases:
+        assert run_cli(*argv) == code, argv
+        err = capsys.readouterr().err
+        assert err.startswith("peakedqc: ") and err.count("\n") == 1, argv
+    assert not (tmp_path / "s.txt").exists()
+    assert not list(tmp_path.glob("none*"))
+
+
+def test_private_file_does_not_depend_on_output_paths(tmp_path, monkeypatch):
+    def gen(where, name, *argv):
+        (tmp_path / where).mkdir(exist_ok=True)
+        monkeypatch.chdir(tmp_path / where)
+        assert run_cli("gen", *argv, "--seed", 99, "--out-prefix", name) == 0
+        return [open(f"{name}.{side}.json", "rb").read() for side in ("public", "private")]
+
+    conditioned = ["--method", "postselect", "--conditioned", "--n", 3, "--delta", 0.9]
+    assert gen("a", "x", *conditioned) == gen("b", "y", *conditioned)
+    variational = ["--method", "variational", "--n", 3, "--delta", 0.5, "--seeds", 1, "--iters", 50]
+    assert (gen("a", "v", *variational, "--history-out", "h1.csv")
+            == gen(tmp_path / "c", tmp_path / "c" / "w", *variational, "--history-out", tmp_path / "h2.csv"))
+    assert (tmp_path / "a" / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()

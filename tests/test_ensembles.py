@@ -77,8 +77,8 @@ def test_postselect_exhausted():
     assert err.value.trials == 5
 
 
-@pytest.mark.parametrize("n,delta,depth", [(2, 0.1, 1), (2, 0.3, 1), (2, 0.5, 1),
-                                           (3, 0.1, 16), (3, 0.3, 16), (3, 0.5, 16)])
+@pytest.mark.parametrize("n,delta,depth", [(2, 0.1, 1), (2, 0.3, 1), (2, 0.5, 1)] + [
+    pytest.param(3, delta, 16, marks=pytest.mark.slow) for delta in (0.1, 0.3, 0.5)])
 def test_postselect_acceptance_rate(n, delta, depth):
     # acceptance should match (1-delta)^(d-1); 20k trials per point here,
     # the full 1e5-trial version runs in the acceptance suite
@@ -300,6 +300,5 @@ def test_instance_json_roundtrip():
     assert back.peak_string == inst.peak_string
     assert abs(back.peakedness - inst.peakedness) < 1e-15
     assert abs(back.verify() - inst.peakedness) < 1e-9
-    assert back.factors is not None
-    stripped = instance_from_json(instance_to_json(inst, include_factors=False))
-    assert stripped.factors is None
+    assert inst.factors is not None and "factors" not in obj
+    assert back.factors is None
