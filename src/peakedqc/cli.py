@@ -2,10 +2,12 @@
 
 The challenge format splits an instance into a public file (the bare
 circuit plus a hash commitment to the peak string) and a private file (the
-peak string, its weight, generation metadata and the commitment salt).
-The commitment lets a challenger audit after the fact that the verifier
-never moved the goalposts.  File writes are atomic (temp file + rename)
-and every private file embeds the run configuration, output paths aside.
+peak string, its weight, generation metadata, the commitment salt and the
+SHA-256 of the public file's bytes).  The commitment lets a challenger
+audit after the fact that the verifier never moved the goalposts; the
+public file's hash binds the private file to its circuit without a second
+copy of it.  File writes are atomic (temp file + rename) and every private
+file embeds the run configuration, output paths aside.
 """
 from __future__ import annotations
 
@@ -50,20 +52,28 @@ def write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json(path: str, obj) -> None:
-    write_atomic(path, json.dumps(obj))
+def write_json(path: str, obj) -> str:
+    """Write ``obj`` to ``path`` as JSON and return the text written."""
+    text = json.dumps(obj)
+    write_atomic(path, text)
+    return text
 
 
-def parse_json(text: str, path: str, keys: tuple[str, ...] = ()) -> dict:
+def require_keys(obj, path: str, keys) -> dict:
+    """``obj`` itself; one that is not a JSON object or lacks a key is a ``StructureError``."""
+    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
+    if missing:
+        raise StructureError(f"{path} has no {', '.join(missing)}")
+    return obj
+
+
+def parse_json(text: str | bytes, path: str, keys: tuple[str, ...] = ()) -> dict:
     """The JSON object in ``text``; one that is not JSON or lacks a key is a ``StructureError``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{path} is not JSON: {exc}") from None
-    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) else list(keys)
-    if missing:
-        raise StructureError(f"{path} has no {', '.join(missing)}")
-    return obj
+    return require_keys(obj, path, keys)
 
 
 def read_json(path: str, *keys: str) -> dict:
@@ -71,22 +81,52 @@ def read_json(path: str, *keys: str) -> dict:
         return parse_json(fh.read(), path, keys)
 
 
+def read_instance(path: str, *keys: str) -> dict:
+    """The JSON object in ``path``, with the circuit of its public file if it holds none.
+
+    A file that holds ``circuit`` (a public file, a ``stitch`` output, a
+    private file written before private files dropped it) is read as it is.
+    A private file ``X.private.json`` that records ``public_sha256`` instead
+    takes its circuit from ``X.public.json`` beside it, whose bytes must hash
+    to that value; its own fields win where the two files share a key.
+    """
+    obj = read_json(path)
+    if isinstance(obj, dict) and "circuit" not in obj and "public_sha256" in obj:
+        if not path.endswith(".private.json"):
+            raise StructureError(f"{path} holds no circuit and is not named X.private.json beside its public file")
+        public_path = path[: -len("private.json")] + "public.json"
+        try:
+            with open(public_path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise StructureError(f"{path} holds no circuit and there is no {public_path} beside it") from None
+        if hashlib.sha256(data).hexdigest() != obj["public_sha256"]:
+            raise StructureError(f"{public_path} is not the public file of {path}: its SHA-256 is not public_sha256")
+        obj = {**parse_json(data, public_path, ("circuit",)), **obj}
+    return require_keys(obj, path, keys)
+
+
 def commitment_digest(peak_string: str, salt: bytes) -> str:
     return hashlib.sha256(peak_string.encode() + salt).hexdigest()
 
 
 def challenge_files(inst: PeakedInstance, rng, config: dict, plan: dict | None = None) -> tuple[dict, dict]:
-    """The public file (circuit + commitment) and the private one (witness + salt)."""
+    """The public file (circuit + commitment) and the private one (witness + salt).
+
+    The private file holds no circuit: the caller writes the public file
+    first and records the SHA-256 of its bytes as ``public_sha256``.
+    """
     salt = rng.bytes(16)
     n = inst.circuit.n
     private = instance_to_json(inst)
+    circuit = private.pop("circuit")
     private.update(n=n, salt=salt.hex(), commitment=commitment_digest(inst.peak_string, salt),
                    plan=plan, config=config)
     # the public side must carry no generation parameters: the seed alone
     # would let a challenger regenerate the instance and read off the peak
     public = {
         "n": n,
-        "circuit": private["circuit"],
+        "circuit": circuit,
         "commitment": private["commitment"],
         "config": {"command": config.get("command"), "n": n},
     }
@@ -164,7 +204,8 @@ def cmd_gen(args) -> int:
         plan_obj["blocks"] = [instance_to_json(b) for b in blocks]
 
     public, private = challenge_files(inst, rng, config, plan_obj)
-    write_json(f"{args.out_prefix}.public.json", public)
+    public_text = write_json(f"{args.out_prefix}.public.json", public)
+    private["public_sha256"] = hashlib.sha256(public_text.encode()).hexdigest()
     write_json(f"{args.out_prefix}.private.json", private)
     print(f"wrote {args.out_prefix}.public.json and {args.out_prefix}.private.json")
     return rc
@@ -172,7 +213,7 @@ def cmd_gen(args) -> int:
 
 def _stitch_blocks(paths: list[str], path_spec: str | None):
     """The blocks read from ``paths``, their stitched instance and its plan dict."""
-    blocks = [instance_from_json(read_json(p, "circuit", "peak_string", "peakedness", "method"))
+    blocks = [instance_from_json(read_instance(p, "circuit", "peak_string", "peakedness", "method"))
               for p in paths]
     plan = stitch_mod.make_plan(blocks, path_spec.split(",") if path_spec else None)
     _, inst, boundaries = stitch_mod.stitch(plan)
@@ -184,7 +225,7 @@ def _stitch_blocks(paths: list[str], path_spec: str | None):
 
 
 def cmd_sample(args) -> int:
-    obj = read_json(args.challenge, "circuit")
+    obj = read_instance(args.challenge, "circuit")
     circuit = circuit_from_json(obj["circuit"])
     n = circuit.n
     target = obj.get("peak_string")
@@ -266,6 +307,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     rows = []
     for n in args.n:
         depth = args.depth or n
@@ -310,8 +353,8 @@ def cmd_stitch(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    base = circuit_from_json(read_json(args.base, "circuit")["circuit"])
-    target = circuit_from_json(read_json(args.target, "circuit")["circuit"])
+    base = circuit_from_json(read_instance(args.base, "circuit")["circuit"])
+    target = circuit_from_json(read_instance(args.target, "circuit")["circuit"])
     path = perturb_mod.make_path(base, target)
     x_star = args.x_star or "0" * base.n
     thetas = [float(t) for t in args.theta.split(",")]
@@ -334,6 +377,8 @@ def cmd_perturb(args) -> int:
 
 def cmd_bounds(args) -> int:
     kind = args.kind
+    if args.k is None and kind in ("tail", "packing", "compression"):
+        raise ValueError(f"bounds {kind} requires --k")
     if kind == "acceptance":
         rep = bounds_mod.acceptance_haar(args.d, args.delta).as_dict()
     elif kind == "tail":

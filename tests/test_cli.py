@@ -1,4 +1,5 @@
 """The challenge workflow: file formats, commitments, end-to-end verify."""
+import hashlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from peakedqc.cli import (
     read_json,
 )
 from peakedqc import noise
+from peakedqc.ensembles import conditioned_generate
 from peakedqc.sim import StructureError, circuit_from_json
 
 
@@ -40,6 +42,10 @@ def test_gen_postselect_files(tmp_path):
     assert pub["commitment"] == priv["commitment"]
     assert pub["commitment"] == commitment_digest(priv["peak_string"], bytes.fromhex(priv["salt"]))
     circuit_from_json(pub["circuit"])  # parses
+    # the private file binds the public file's bytes instead of repeating its circuit
+    assert "circuit" not in priv
+    with open(pub_path, "rb") as fh:
+        assert priv["public_sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 def test_gen_rejection_postselect(tmp_path):
@@ -509,9 +515,13 @@ def test_sample_rejects_malformed_gate(tmp_path, capsys, edit):
 
 
 def test_perturb_and_stitch_reject_non_unitary_gates(tmp_path, capsys):
-    _, priv_a = gen_conditioned(tmp_path, name="a", n=3, seed=94)
+    pub_a, priv_a = gen_conditioned(tmp_path, name="a", n=3, seed=94)
     _, priv_b = gen_conditioned(tmp_path, name="b", n=3, seed=95)
-    bad = tampered(priv_a, tmp_path / "bad.private.json", _scale_matrix)
+    # the private file holds no circuit: tamper with its public file and rebind the private copy to it
+    tampered_pub = tampered(pub_a, tmp_path / "bad.public.json", _scale_matrix)
+    bad = tmp_path / "bad.private.json"
+    bad.write_text(json.dumps({**read_json(priv_a),
+                               "public_sha256": hashlib.sha256(tampered_pub.read_bytes()).hexdigest()}))
     capsys.readouterr()
     assert run_cli("perturb", "--base", bad, "--target", priv_b) == 2
     assert run_cli("gen", "--method", "stitched", "--blocks", priv_b, bad,
@@ -543,6 +553,11 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys):
         (2, ["perturb", "--base", pub_path, "--target", priv_path, "--theta", "x"]),
         (1, ["gen", "--method", "postselect", "--n", 3, "--delta", 0.9999, "--max-trials", 2,
              "--seed", 1, "--out-prefix", prefix]),
+        (2, ["bounds", "tail"]),
+        (2, ["bounds", "packing"]),
+        (2, ["bounds", "compression"]),
+        (2, ["stats", "--n", 3, "--instances", 0, "--iters", 5]),
+        (2, ["stats", "--n", 3, "--instances", -1, "--iters", 5]),
     ]
     capsys.readouterr()
     for code, argv in cases:
@@ -566,3 +581,72 @@ def test_private_file_does_not_depend_on_output_paths(tmp_path, monkeypatch):
     assert (gen("a", "v", *variational, "--history-out", "h1.csv")
             == gen(tmp_path / "c", tmp_path / "c" / "w", *variational, "--history-out", tmp_path / "h2.csv"))
     assert (tmp_path / "a" / "h1.csv").read_bytes() == (tmp_path / "h2.csv").read_bytes()
+
+
+def test_public_circuit_matrices_are_re_im_pairs(tmp_path):
+    # the pair form that perfbench/reference.py parses with np.asarray(..., float)
+    pub_path, _ = gen_conditioned(tmp_path, n=4, delta=0.9, seed=11)
+    gates = read_json(pub_path)["circuit"]["gates"]
+    inst = conditioned_generate(4, 0.9, seed=11)
+    assert len(gates) == len(inst.circuit.gates)
+    for gate, built in zip(gates, inst.circuit.gates):
+        d = 1 << len(gate["wires"])
+        pairs = np.asarray(gate["matrix"], float)
+        assert pairs.shape == (d * d, 2)
+        rebuilt = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d, d)
+        assert np.array_equal(rebuilt, built.matrix)
+
+
+def legacy_private(priv_path, out_dir):
+    """The private file as it was written while it still held the circuit, under the same name."""
+    priv = read_json(priv_path)
+    circuit = read_json(priv_path.replace(".private.json", ".public.json"))["circuit"]
+    del priv["public_sha256"]
+    out = out_dir / os.path.basename(priv_path)
+    out.write_text(json.dumps({"circuit": circuit, **priv}))
+    return str(out)
+
+
+def test_stitch_perturb_and_sample_read_new_and_legacy_private_files_alike(tmp_path):
+    new = [gen_conditioned(tmp_path, name=f"l{j}", n=4, delta=0.9, seed=101 + j)[1] for j in range(2)]
+    (tmp_path / "legacy").mkdir()
+    legacy = [legacy_private(p, tmp_path / "legacy") for p in new]
+
+    def outputs(tag, a, b):
+        out = tmp_path / tag
+        out.mkdir()
+        assert run_cli("stitch", "--blocks", a, b, "--rewrite", "--seed", 5, "--out", out / "st.json") == 0
+        assert run_cli("perturb", "--base", a, "--target", b, "--theta", "0.0,0.1", "--K", 3,
+                       "--out", out / "p.csv") == 0
+        assert run_cli("sample", "--challenge", a, "--shots", 200, "--seed", 6, "--json",
+                       "--noise", "tsparse:1:worst-case-toward-target", "--out", out / "s.json") == 0
+        return [(out / name).read_bytes() for name in ("st.json", "p.csv", "s.json")]
+
+    assert outputs("from_new", *new) == outputs("from_legacy", *legacy)
+
+
+def _public_of_another_instance(tmp_path, priv_path):
+    other_pub, _ = gen_conditioned(tmp_path, name="other", n=4, seed=111)
+    os.replace(other_pub, priv_path.replace(".private.json", ".public.json"))
+
+
+def _no_public_file(tmp_path, priv_path):
+    os.remove(priv_path.replace(".private.json", ".public.json"))
+
+
+@pytest.mark.parametrize("break_pair", [_public_of_another_instance, _no_public_file])
+def test_private_file_without_its_public_file_exits_2(tmp_path, capsys, break_pair):
+    _, priv_path = gen_conditioned(tmp_path, n=4, seed=110)
+    _, good = gen_conditioned(tmp_path, name="good", n=4, seed=112)
+    break_pair(tmp_path, priv_path)
+    capsys.readouterr()
+    for argv in (["sample", "--challenge", priv_path, "--out", tmp_path / "s.txt"],
+                 ["perturb", "--base", good, "--target", priv_path],
+                 ["stitch", "--blocks", good, priv_path, "--out", tmp_path / "st.json"],
+                 ["gen", "--method", "stitched", "--blocks", priv_path, good, "--seed", 1,
+                  "--out-prefix", tmp_path / "g"]):
+        assert run_cli(*argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("peakedqc: ") and err.count("\n") == 1, argv
+        assert "chal.public.json" in err, argv
+    assert not list(tmp_path.glob("s.txt")) + list(tmp_path.glob("st.json")) + list(tmp_path.glob("g.*"))
