@@ -11,7 +11,6 @@ challenge workflow CLI (``cli``).
 from .sim import (
     Brickwall,
     Circuit,
-    DenseCapError,
     Gate,
     SampleSet,
     StructureError,

@@ -137,6 +137,8 @@ def covering_log(n: int, s: int, eps: float) -> BoundReport:
     ``N(eps) <= (C n^2 s / eps)^(kappa s)``; ``s = 0`` covers the single
     identity point.
     """
+    if n < 1:
+        raise ValueError(f"covering bound needs n >= 1, got n={n}")
     if not 0.0 < eps <= 0.5:
         raise ValueError("eps must lie in (0, 1/2]")
     if s < 0:

@@ -35,6 +35,7 @@ from .ensembles import (
     random_brickwall,
 )
 from .sim import (
+    N_MAX_DENSE,
     SampleSet,
     StructureError,
     _json_int,
@@ -201,7 +202,9 @@ def cmd_gen(args) -> int:
             rc = 1
     else:
         blocks, inst, plan_obj = _stitch_blocks(args.blocks, args.path)
-        plan_obj["blocks"] = [instance_to_json(b) for b in blocks]
+        # witnesses only: the block gates are in the public circuit between plan["boundaries"]
+        plan_obj["blocks"] = [{"peak_string": b.peak_string, "peakedness": b.peakedness,
+                               "method": b.method, "seed": b.seed} for b in blocks]
 
     public, private = challenge_files(inst, rng, config, plan_obj)
     public_text = write_json(f"{args.out_prefix}.public.json", public)
@@ -309,6 +312,8 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    if max(args.n) > N_MAX_DENSE:  # the overlap statistic takes both factors as dense unitaries
+        raise StructureError(f"--n must be at most N_MAX_DENSE={N_MAX_DENSE}, got {max(args.n)}")
     rows = []
     for n in args.n:
         depth = args.depth or n

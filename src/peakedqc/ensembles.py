@@ -21,6 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .sim import (
+    N_MAX_DENSE,
     Brickwall,
     Circuit,
     Gate,
@@ -101,8 +102,8 @@ def haar_unitary(dim: int, seed=None) -> np.ndarray:
     QR of a complex Ginibre matrix with the R-diagonal phases divided out,
     which makes the factorization unique and the Q factor Haar.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not 1 <= dim <= 1 << N_MAX_DENSE:
+        raise StructureError(f"a Haar unitary of dim={dim} is outside [1, 2^N_MAX_DENSE={1 << N_MAX_DENSE}]")
     rng = as_rng(seed)
     z = np.empty((dim, dim), dtype=complex)
     z.real, z.imag = rng.standard_normal((2, dim, dim))  # the real parts are drawn first
@@ -199,8 +200,10 @@ def conditioned_generate(
     ``[delta_target, 1]`` (or pinned to ``delta_target`` when
     ``exact_delta``), the aligned column is placed explicitly, and the
     remaining action of C' is an independent Haar block on the complement.
-    Factors come out as single dense n-wire gates.
+    Factors come out as single dense n-wire gates, so ``n <= N_MAX_DENSE``.
     """
+    if n < 1:
+        raise StructureError(f"conditioned sampling needs n >= 1, got n={n}")
     if not 0.0 <= delta_target <= 1.0:
         raise ValueError("delta_target must lie in [0, 1]")
     rng = as_rng(seed)

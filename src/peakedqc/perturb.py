@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .sim import (
-    N_MAX_STATEVECTOR,
     Circuit,
     Gate,
     StructureError,
@@ -133,11 +132,9 @@ def tv_peakedness_check(path: PerturbationPath, theta: float, x_star: str) -> TV
 
     The linear term alone is already a valid bound (each perturbed gate
     moves the operator by at most ``theta |H_j|``); the quadratic term is
-    reported slack.  The two distributions come from statevectors, so the
-    cap is ``N_MAX_STATEVECTOR``.
+    reported slack.  The two distributions come from statevectors, so
+    ``basis_state`` refuses n past ``N_MAX_STATEVECTOR``.
     """
-    if path.base.n > N_MAX_STATEVECTOR:
-        raise StructureError(f"exact distributions need n <= {N_MAX_STATEVECTOR}")
     p = output_distribution(path.base)
     q = output_distribution(materialize(path, theta))
     tv = float(np.abs(p - q).sum())

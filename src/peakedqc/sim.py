@@ -20,8 +20,8 @@ matrix when ``L > 1`` and ``D * R <= FOLD_UPTO``; circuit passes alternate
 between two buffers.  Passes over buffers of at least ``FUSE_FROM``
 entries first :func:`fuse` the gates into blocks over at most
 ``FUSE_WIDTH`` contiguous wires, so each block reads and writes the buffer
-once.  ``N_MAX_DENSE`` caps full unitaries, ``N_MAX_STATEVECTOR``
-statevectors.
+once.  ``N_MAX_DENSE`` caps dense unitaries, ``N_MAX_STATEVECTOR``
+statevectors; past either, a ``StructureError`` comes before any allocation.
 """
 from __future__ import annotations
 
@@ -43,10 +43,6 @@ UNITARITY_TOL = 1e-12
 
 class StructureError(ValueError):
     """Wires, architectures or peak paths that do not line up."""
-
-
-class DenseCapError(RuntimeError):
-    """Dense materialization requested above the configured wire limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +349,7 @@ def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | N
 def full_unitary(circuit: Circuit) -> np.ndarray:
     """Dense ``d x d`` matrix of the circuit; column ``x`` is ``U|x>``."""
     if circuit.n > N_MAX_DENSE:
-        raise DenseCapError(f"dense unitary for n={circuit.n} exceeds the N_MAX_DENSE={N_MAX_DENSE} cap")
+        raise StructureError(f"dense unitary for n={circuit.n} exceeds the N_MAX_DENSE={N_MAX_DENSE} cap")
     d = 1 << circuit.n
     return _run_gates(np.eye(d, dtype=complex), (2,) * circuit.n + (d,), circuit.gates)
 

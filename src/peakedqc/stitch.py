@@ -30,6 +30,7 @@ from .sim import (
     _embed,
     amplitude,
     as_rng,
+    basis_state,
     full_unitary,
     x_layer_gates,
 )
@@ -183,15 +184,12 @@ def montecarlo_block_mixing(n: int, L: int, eps: float, trials: int, seed=None) 
     state of the same norm (unitary invariance), so each layer draws that
     state, not a ``(d-1)``-dimensional unitary; ``n <= N_MAX_STATEVECTOR``.
     """
-    if n > N_MAX_STATEVECTOR:
-        raise ValueError(f"block-mixing Monte Carlo is capped at n <= {N_MAX_STATEVECTOR}")
     rng = as_rng(seed)
     d = 1 << n
     c, s = math.sqrt(1.0 - eps), math.sqrt(eps)
     vals = np.empty(trials)
     for trial in range(trials):
-        psi = np.zeros(d, dtype=complex)
-        psi[0] = 1.0
+        psi = basis_state(n)
         for _ in range(L):
             psi[1:] = np.linalg.norm(psi[1:]) * haar_state(d - 1, rng)
             top, second = psi[0], psi[1]

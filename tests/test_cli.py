@@ -16,7 +16,7 @@ from peakedqc.cli import (
     parse_noise,
     read_json,
 )
-from peakedqc import noise
+from peakedqc import noise, synth
 from peakedqc.ensembles import conditioned_generate
 from peakedqc.sim import StructureError, circuit_from_json
 
@@ -91,7 +91,9 @@ def test_gen_stitched(tmp_path):
     priv = read_json(f"{prefix}.private.json")
     assert priv["method"] == "stitched"
     assert priv["plan"] is not None
-    assert len(priv["plan"]["blocks"]) == 3
+    # each block's witness only: its gates are in the public circuit between the boundaries
+    assert [sorted(b) for b in priv["plan"]["blocks"]] == [["method", "peak_string", "peakedness", "seed"]] * 3
+    assert os.path.getsize(f"{prefix}.private.json") < 2048
 
 
 def test_public_file_leaks_nothing(tmp_path):
@@ -541,8 +543,15 @@ def test_verify_radius_outside_0_n_exits_2(tmp_path, capsys, radius):
     assert err.startswith("peakedqc: radius") and err.count("\n") == 1
 
 
-def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys):
+def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch):
     pub_path, priv_path = gen_conditioned(tmp_path, n=2, seed=98)
+    searched, search = [], synth.multistart_search  # the wire counts synthesis ran on
+
+    def spy(target, **kw):
+        searched.append(target.n)
+        return search(target, **kw)
+
+    monkeypatch.setattr(synth, "multistart_search", spy)
     prefix = tmp_path / "none"
     cases = [
         (2, ["sample", "--challenge", pub_path, "--shots", 0, "--out", tmp_path / "s.txt"]),
@@ -558,6 +567,9 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys):
         (2, ["bounds", "compression"]),
         (2, ["stats", "--n", 3, "--instances", 0, "--iters", 5]),
         (2, ["stats", "--n", 3, "--instances", -1, "--iters", 5]),
+        (2, ["stats", "--n", 13, "--instances", 1, "--iters", 1, "--seeds", 1]),
+        (2, ["gen", "--method", "postselect", "--conditioned", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
+        (2, ["bounds", "covering", "--n", 0]),
     ]
     capsys.readouterr()
     for code, argv in cases:
@@ -566,6 +578,26 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys):
         assert err.startswith("peakedqc: ") and err.count("\n") == 1, argv
     assert not (tmp_path / "s.txt").exists()
     assert not list(tmp_path.glob("none*"))
+    assert 13 not in searched  # stats past N_MAX_DENSE stops before it synthesises
+
+
+def test_conditioned_gen_past_dense_cap_exits_before_allocating(tmp_path):
+    # under a 2 GiB address-space limit on the child only, a missing cap ends
+    # in MemoryError (the n = 13 Ginibre draw alone is 1 GiB), not in exit 2;
+    # one BLAS thread keeps the per-thread buffers of numpy's import small
+    def limit_memory():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["gen", "--method", "postselect", "--conditioned", "--n", "13", "--seed", "1", "--out-prefix", "big"]
+    code = f"import sys; from peakedqc.cli import main; sys.exit(main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+                         preexec_fn=limit_memory, timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("peakedqc: ") and out.stderr.count("\n") == 1
+    assert "N_MAX_DENSE" in out.stderr
+    assert not list(tmp_path.glob("big*"))
 
 
 def test_private_file_does_not_depend_on_output_paths(tmp_path, monkeypatch):

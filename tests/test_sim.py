@@ -10,7 +10,6 @@ from peakedqc import sim
 from peakedqc.ensembles import random_brickwall
 from peakedqc.sim import (
     Circuit,
-    DenseCapError,
     Gate,
     HADAMARD,
     PAULI_X,
@@ -240,7 +239,7 @@ def test_full_unitary_is_unitary():
 
 
 def test_full_unitary_cap():
-    with pytest.raises(DenseCapError, match="N_MAX_DENSE"):
+    with pytest.raises(StructureError, match="N_MAX_DENSE"):
         full_unitary(Circuit(sim.N_MAX_DENSE + 1))
 
 
