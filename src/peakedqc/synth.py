@@ -115,14 +115,14 @@ def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.n
 
 
 def _target_column(target: Circuit) -> np.ndarray:
-    return apply_circuit(basis_state(target.n), target)
+    return apply_circuit("0" * target.n, target)
 
 
 def objective(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) -> float:
     """``p0 = |<x*| C'(theta)^dag C |0^n>|^2`` via two statevector passes."""
     x_star = "0" * target.n if x_star is None else x_star
     c_state = _target_column(target)
-    phi = apply_circuit(basis_state(target.n, x_star), pcirc.materialize())
+    phi = apply_circuit(x_star, pcirc.materialize())
     return float(abs(np.vdot(phi, c_state)) ** 2)
 
 

@@ -571,11 +571,19 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
         (2, ["gen", "--method", "postselect", "--conditioned", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
         (2, ["bounds", "covering", "--n", 0]),
     ]
+    named = [  # (the argument at fault as the message names it, argv)
+        ("d=0", ["bounds", "acceptance", "--d", 0]),
+        ("n=0", ["bounds", "lb", "--n", 0]),
+        ("n=0", ["gen", "--method", "postselect", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
+        ("n=0", ["gen", "--method", "variational", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
+        ("n=0", ["stats", "--n", 0, "--instances", 1, "--iters", 1]),
+    ]
     capsys.readouterr()
-    for code, argv in cases:
+    for code, argv, *names in cases + [(2, argv, name) for name, argv in named]:
         assert run_cli(*argv) == code, argv
         err = capsys.readouterr().err
         assert err.startswith("peakedqc: ") and err.count("\n") == 1, argv
+        assert all(name in err for name in names), (argv, err)
     assert not (tmp_path / "s.txt").exists()
     assert not list(tmp_path.glob("none*"))
     assert 13 not in searched  # stats past N_MAX_DENSE stops before it synthesises

@@ -226,6 +226,44 @@ def test_fused_pass_matches_unfused_pass(width, seed):
     assert np.abs(fused - plain).max() < 1e-12
 
 
+def _haar_gate(wires, rng):
+    dim = 1 << len(wires)
+    return Gate(wires, np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0])
+
+
+def _basis_start_circuit(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "brickwall":
+        return random_brickwall(n, n, seed=rng)
+    if kind == "layouts":  # non-adjacent and descending wires among brickwall layers
+        gates = [_haar_gate(w, rng) for w in _layouts(n) if len(w) <= 6]
+        return Circuit(n, [gates[i] for i in rng.permutation(len(gates))] + random_brickwall(n, 2, seed=rng).gates)
+    if kind == "top-first":  # the first gate reaches wire n - 1
+        return Circuit(n, [_haar_gate((n - 1, 0), rng)] + random_brickwall(n, 4, seed=rng).gates)
+    return Circuit(n, random_brickwall(n - 3, n - 3, seed=rng).gates)  # the last three wires stay idle
+
+
+@pytest.mark.parametrize("kind", ["brickwall", "layouts", "top-first", "idle-tail"])
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_basis_start_matches_array_start(kind, n):
+    assert 1 << n >= sim.FUSE_FROM  # so the string start takes the first-touch path
+    circ = _basis_start_circuit(kind, n)
+    for bits in ("0" * n, "1" * n, ("01" * n)[:n]):
+        assert np.abs(apply_circuit(bits, circ) - apply_circuit(basis_state(n, bits), circ)).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_touch_order_keeps_each_wire_sequence(seed):
+    n = 9
+    for gates in (_mixed_gates(n, seed), sim.fuse(random_brickwall(n, n, seed=seed).gates, sim.FUSE_WIDTH)):
+        order = sim.first_touch_order(gates)
+        assert sorted(map(id, order)) == sorted(map(id, gates))
+        for w in range(n):
+            assert [id(g) for g in order if w in g.wires] == [id(g) for g in gates if w in g.wires]
+    low, high = Gate((0, 1), np.eye(4)), Gate((5, 6), np.eye(4))
+    assert sim.first_touch_order([high, low]) == [low, high]
+
+
 def test_full_unitary_identity_and_h():
     assert np.array_equal(full_unitary(Circuit(2)), np.eye(4))
     u = full_unitary(Circuit(1, [Gate((0,), HADAMARD)]))
@@ -428,3 +466,5 @@ def test_sampleset_rejects_malformed(n, shots):
 def test_statevector_cap_refused_before_allocation():
     with pytest.raises(StructureError, match="N_MAX_STATEVECTOR"):
         sample(Circuit(40), "0" * 40, 10, seed=0)
+    with pytest.raises(StructureError, match="N_MAX_STATEVECTOR"):
+        apply_circuit("0" * 40, Circuit(40))
