@@ -54,8 +54,8 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def write_json(path: str, obj) -> str:
-    """Write ``obj`` to ``path`` as JSON and return the text written."""
-    text = json.dumps(obj)
+    """Write ``obj`` to ``path`` as JSON without separator spaces and return the text written."""
+    text = json.dumps(obj, separators=(",", ":"))
     write_atomic(path, text)
     return text
 

@@ -319,6 +319,8 @@ def verdict(samples: SampleSet, x_star: str, claimed: float, channel: NoiseModel
     the estimate and its standard error.  The default tolerance is 3 scaled
     standard errors plus the background bias bound, at least 1e-3.
     """
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tolerance}")
     n, expected, se_scale = samples.n, claimed, 1.0
     if isinstance(channel, BSC):
         t = bsc_radius(n, channel.r) if t is None else t

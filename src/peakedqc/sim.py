@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,6 +135,8 @@ class Gate:
         return cls(tuple(wires), su4_gate(params), params=params)
 
     def dagger(self) -> "Gate":
+        if self.params is not None:  # exp(-iH)^dagger = exp(-i(-H)), so the coefficients survive
+            return Gate.from_params(self.wires, -self.params)
         return Gate(self.wires, self.matrix.conj().T)
 
 
@@ -410,7 +413,6 @@ def sample(circuit: Circuit, bits_in: str, shots: int, seed=None, meta: dict | N
         raise ValueError("shots must be >= 1")
     rng = as_rng(seed)
     p = output_distribution(circuit, bits_in)
-    p = np.clip(p, 0.0, None)
     p /= p.sum()
     idx = rng.choice(p.size, size=shots, p=p)
     info = {"instance_id": None, "noise": None, "seed": seed}
@@ -483,11 +485,19 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list[list[float]]:
     return np.stack([matrix.real, matrix.imag], -1).reshape(-1, 2).tolist()
 
 
+def _are_numbers(values: Iterable) -> bool:
+    """Whether every entry is a JSON number: ``true`` and ``"0.1"`` are not, though numpy takes both."""
+    return set(map(type, values)) <= {int, float}
+
+
 def _pairs_to_matrix(pairs: Sequence[Sequence[float]]) -> np.ndarray:
     try:
-        flat = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError):
-        raise StructureError("matrix entries must be [re, im] pairs") from None
+        pairs_ok = set(map(len, pairs)) <= {2} and _are_numbers(chain.from_iterable(pairs))
+    except TypeError:
+        pairs_ok = False
+    if not pairs_ok:
+        raise StructureError("matrix entries must be [re, im] pairs of JSON numbers")
+    flat = np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).view(complex)
     dim = math.isqrt(flat.size)
     if dim * dim != flat.size:
         raise StructureError(f"matrix entry list of length {flat.size} is not square")
@@ -514,6 +524,8 @@ def gate_from_json(obj: dict) -> Gate:
         raise StructureError("a gate needs a wires list and a matrix or params")
     wires = tuple(_json_int(w, "a gate wire") for w in obj["wires"])
     if "params" in obj:
+        if not (isinstance(obj["params"], list) and _are_numbers(obj["params"])):
+            raise StructureError(f"params of the gate on wires {wires} must be a list of JSON numbers")
         return Gate.from_params(wires, obj["params"])
     m = _pairs_to_matrix(obj["matrix"])
     defect = np.abs(m.conj().T @ m - np.eye(len(m))).max() if np.isfinite(m).all() else np.inf

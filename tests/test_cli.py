@@ -18,7 +18,7 @@ from peakedqc.cli import (
 )
 from peakedqc import noise, synth
 from peakedqc.ensembles import conditioned_generate
-from peakedqc.sim import StructureError, circuit_from_json
+from peakedqc.sim import StructureError, amplitude, brickwall_pairs, circuit_from_json
 
 
 def run_cli(*args):
@@ -69,6 +69,39 @@ def test_gen_variational(tmp_path):
     hist = (tmp_path / "hist.csv").read_text().splitlines()
     assert hist[0] == "seed,iter,p0"
     assert len(hist) > 2
+
+
+def test_variational_public_file_writes_the_ansatz_half_as_params(tmp_path):
+    prefix = tmp_path / "var"
+    assert run_cli("gen", "--method", "variational", "--n", 4, "--depth", 4, "--delta", 0.5,
+                   "--seeds", 2, "--iters", 400, "--seed", 5, "--out-prefix", prefix) == 0
+    pub, priv = read_json(f"{prefix}.public.json"), read_json(f"{prefix}.private.json")
+    gates, half = pub["circuit"]["gates"], len(brickwall_pairs(4, 4))
+    # P = C'^dagger C: the target C's Haar gates act first, then the adjoint of the ansatz C'
+    assert len(gates) == 2 * half
+    assert all(set(g) == {"wires", "matrix"} for g in gates[:half])
+    assert all(set(g) == {"wires", "params"} and len(g["params"]) == 15 for g in gates[half:])
+    circuit = circuit_from_json(pub["circuit"])
+    assert abs(amplitude(circuit, "0000", priv["peak_string"])) ** 2 == priv["peakedness"]
+
+
+def test_written_files_use_compact_separators(tmp_path):
+    pub, priv = gen_conditioned(tmp_path, name="a", n=3, seed=12)
+    _, priv_b = gen_conditioned(tmp_path, name="b", n=3, seed=13)
+    var = tmp_path / "var"
+    run_cli("gen", "--method", "variational", "--n", 3, "--depth", 3, "--delta", 0.5,
+            "--seeds", 1, "--iters", 20, "--seed", 5, "--out-prefix", var)
+    assert run_cli("stitch", "--blocks", priv, priv_b, "--out", tmp_path / "st.json") == 0
+    assert run_cli("sample", "--challenge", pub, "--shots", 20, "--json", "--out", tmp_path / "shots.json") == 0
+    written = [pub, priv, f"{var}.public.json", f"{var}.private.json", tmp_path / "st.json",
+               tmp_path / "shots.json"]
+    for path in written:
+        text = open(path).read()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")), path
+    # the verdict is read by people and keeps its indentation
+    run_cli("verify", "--private", priv, "--shots", tmp_path / "shots.json", "--out", tmp_path / "v.json")
+    text = (tmp_path / "v.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=1)
 
 
 def test_gen_variational_below_target_exit_code(tmp_path):
@@ -496,6 +529,16 @@ def _string_wires(gate):
     gate["wires"] = "ab"
 
 
+def _boolean_identity(gate):  # numpy would read it as the identity
+    d = math.isqrt(len(gate["matrix"]))
+    gate["matrix"] = [[i % (d + 1) == 0, False] for i in range(d * d)]
+
+
+def _string_params(gate):  # numpy would read them as 0.1
+    del gate["matrix"]
+    gate["wires"], gate["params"] = [0, 1], ["0.1"] * 15
+
+
 def tampered(path, out, edit):
     """A copy of the challenge file at ``path`` with ``edit`` applied to its first gate."""
     obj = read_json(path)
@@ -505,7 +548,7 @@ def tampered(path, out, edit):
 
 
 @pytest.mark.parametrize("edit", [_scale_matrix, _nan_entry, _drop_wires, _three_number_entry,
-                                  _string_wires])
+                                  _string_wires, _boolean_identity, _string_params])
 def test_sample_rejects_malformed_gate(tmp_path, capsys, edit):
     pub_path, _ = gen_conditioned(tmp_path, n=4, seed=93)
     bad = tampered(pub_path, tmp_path / "bad.public.json", edit)
@@ -553,6 +596,8 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(synth, "multistart_search", spy)
     prefix = tmp_path / "none"
+    shots = tmp_path / "shots.txt"
+    shots.write_text("00\n01\n00\n")
     cases = [
         (2, ["sample", "--challenge", pub_path, "--shots", 0, "--out", tmp_path / "s.txt"]),
         (2, ["gen", "--method", "postselect", "--conditioned", "--n", 3, "--delta", 1.5,
@@ -577,6 +622,8 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
         ("n=0", ["gen", "--method", "postselect", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
         ("n=0", ["gen", "--method", "variational", "--n", 0, "--seed", 1, "--out-prefix", prefix]),
         ("n=0", ["stats", "--n", 0, "--instances", 1, "--iters", 1]),
+        *[("tolerance", ["verify", "--private", priv_path, "--shots", shots, "--tolerance", tol])
+          for tol in ("-1", "nan", "inf")],
     ]
     capsys.readouterr()
     for code, argv, *names in cases + [(2, argv, name) for name, argv in named]:

@@ -365,6 +365,31 @@ def test_gate_from_json_rejects_malformed(gate):
         circuit_from_json({"n": 2, "gates": [gate]})
 
 
+@pytest.mark.parametrize("gate", [
+    {"wires": [0, 1], "params": ["0.1"] * 15},
+    {"wires": [0, 1], "params": [True] * 15},
+    {"wires": [0, 1], "params": [0.0] * 14 + [None]},
+    {"wires": [0, 1], "params": 0.1},
+    {"wires": [0], "matrix": [[True, False], [False, False], [False, False], [True, False]]},
+    {"wires": [0], "matrix": [["1", 0], [0, 0], [0, 0], [1, 0]]},
+    {"wires": [0], "matrix": [[1, 0], [0, 0], [0, 0], [1, "0"]]},
+    {"wires": [0], "matrix": [[1, 0], [0, 0], [0, 0], "10"]},
+])
+def test_gate_from_json_refuses_non_numbers(gate):
+    # numpy would read "0.1" as 0.1 and true as 1.0; a file must give JSON numbers
+    with pytest.raises(StructureError, match="JSON numbers"):
+        sim.gate_from_json(gate)
+
+
+def test_dagger_of_params_gate_negates_the_coefficients():
+    theta = np.random.default_rng(7).normal(0.0, 0.5, 15)
+    g = Gate.from_params((2, 3), theta)
+    d = g.dagger()
+    assert d.wires == (2, 3) and np.array_equal(d.params, -theta)
+    assert np.abs(d.matrix - g.matrix.conj().T).max() < 1e-14
+    assert Gate((0,), HADAMARD).dagger().params is None
+
+
 @pytest.mark.parametrize("obj", [
     {"n": "x", "gates": []},
     {"n": 2.5, "gates": []},
