@@ -5,7 +5,10 @@ Two generators produce the postselected peaked ensemble:
 * :func:`postselect_generate` is the literal accept/reject loop (draw a
   fresh second circuit until the composition is peaked enough).  Its
   acceptance probability is ``(1-delta)^(d-1)`` for Haar factors, so it is
-  only usable at tiny ``n`` or tiny ``delta``.
+  only usable at tiny ``n`` or tiny ``delta``.  A trial draws its brickwall
+  as one ``(G, 4, 4)`` stack (:func:`haar_unitary` with ``batch=G``, which
+  reads the stream in the order of ``G`` single draws and equals them bit
+  for bit), and :func:`random_brickwall` makes its gates views of that stack.
 * :func:`conditioned_generate` samples the accepted distribution directly:
   conditioned on the overlap, the second factor splits into the aligned
   column and an independent Haar block on its complement, which can be
@@ -95,20 +98,27 @@ class OverlapStats:
 # Haar sampling
 
 
-def haar_unitary(dim: int, seed=None) -> np.ndarray:
-    """Haar-distributed ``dim x dim`` unitary.
+def haar_unitary(dim: int, seed=None, batch: int | None = None) -> np.ndarray:
+    """Haar-distributed ``dim x dim`` unitary, or a ``(batch, dim, dim)`` stack of them.
 
     QR of a complex Ginibre matrix with the R-diagonal phases divided out,
-    which makes the factorization unique and the Q factor Haar.
+    which makes the factorization unique and the Q factor Haar (Mezzadri,
+    math-ph/0609050).  A stack reads the stream in the order of ``batch``
+    single draws (each matrix's real parts, then its imaginary parts) and
+    LAPACK factors each matrix alone, so it equals them bit for bit;
+    ``batch=0`` draws nothing.
     """
     if not 1 <= dim <= 1 << N_MAX_DENSE:
         raise StructureError(f"a Haar unitary of dim={dim} is outside [1, 2^N_MAX_DENSE={1 << N_MAX_DENSE}]")
+    if batch is not None and batch < 0:
+        raise ValueError(f"a Haar stack needs batch >= 0, got batch={batch}")
     rng = as_rng(seed)
-    z = np.empty((dim, dim), dtype=complex)
-    z.real, z.imag = rng.standard_normal((2, dim, dim))  # the real parts are drawn first
+    shape = (dim, dim) if batch is None else (batch, dim, dim)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.standard_normal(shape[:-2] + (2, dim, dim)).swapaxes(0, -3)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = r.diagonal(0, -2, -1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_state(dim: int, seed=None) -> np.ndarray:
@@ -119,9 +129,9 @@ def haar_state(dim: int, seed=None) -> np.ndarray:
 
 def random_brickwall(n: int, depth: int, seed=None) -> Circuit:
     """Brickwall circuit with an independent Haar two-qubit gate per slot."""
-    rng = as_rng(seed)
-    gates = [Gate(pair, haar_unitary(4, rng)) for pair in brickwall_pairs(n, depth)]
-    return Circuit(n, gates, architecture=Brickwall(depth))
+    pairs = brickwall_pairs(n, depth)
+    mats = haar_unitary(4, seed, batch=len(pairs))
+    return Circuit(n, [Gate(pair, m) for pair, m in zip(pairs, mats)], architecture=Brickwall(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +154,8 @@ def postselect_generate(
     """
     if max_trials < 1:
         raise ValueError("max_trials must be >= 1")
+    if not 0.0 <= delta_target <= 1.0:
+        raise ValueError("delta_target must lie in [0, 1]")
     rng = as_rng(seed)
     x_star = "0" * n if x_star is None else x_star
     depth = 4 * n if depth is None else depth

@@ -523,11 +523,14 @@ def gate_from_json(obj: dict) -> Gate:
             and ("matrix" in obj or "params" in obj)):
         raise StructureError("a gate needs a wires list and a matrix or params")
     wires = tuple(_json_int(w, "a gate wire") for w in obj["wires"])
-    if "params" in obj:
-        if not (isinstance(obj["params"], list) and _are_numbers(obj["params"])):
-            raise StructureError(f"params of the gate on wires {wires} must be a list of JSON numbers")
-        return Gate.from_params(wires, obj["params"])
-    m = _pairs_to_matrix(obj["matrix"])
+    try:
+        if "params" in obj:
+            if not (isinstance(obj["params"], list) and _are_numbers(obj["params"])):
+                raise StructureError(f"params of the gate on wires {wires} must be a list of JSON numbers")
+            return Gate.from_params(wires, obj["params"])
+        m = _pairs_to_matrix(obj["matrix"])
+    except OverflowError:  # a JSON integer past the float range
+        raise StructureError(f"the gate on wires {wires} has a number past the float range") from None
     defect = np.abs(m.conj().T @ m - np.eye(len(m))).max() if np.isfinite(m).all() else np.inf
     if not defect <= UNITARITY_TOL:
         raise StructureError(f"gate matrix on wires {wires} is not unitary (defect {defect:.3e})")

@@ -207,6 +207,8 @@ def multistart_search(
     """
     if n_seeds < 1 or iters < 1:
         raise ValueError("need n_seeds >= 1 and iters >= 1")
+    if not 0.0 <= delta_target <= 1.0:
+        raise ValueError("delta_target must lie in [0, 1]")
     x_star = "0" * target.n if x_star is None else x_star
     if depth is None:
         if target.architecture is None:

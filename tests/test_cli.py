@@ -539,6 +539,15 @@ def _string_params(gate):  # numpy would read them as 0.1
     gate["wires"], gate["params"] = [0, 1], ["0.1"] * 15
 
 
+def _huge_integer_entry(gate):  # past the float range, so numpy would overflow
+    gate["matrix"][0][0] = 10**400
+
+
+def _huge_integer_params(gate):
+    del gate["matrix"]
+    gate["wires"], gate["params"] = [0, 1], [10**400] * 15
+
+
 def tampered(path, out, edit):
     """A copy of the challenge file at ``path`` with ``edit`` applied to its first gate."""
     obj = read_json(path)
@@ -548,7 +557,8 @@ def tampered(path, out, edit):
 
 
 @pytest.mark.parametrize("edit", [_scale_matrix, _nan_entry, _drop_wires, _three_number_entry,
-                                  _string_wires, _boolean_identity, _string_params])
+                                  _string_wires, _boolean_identity, _string_params,
+                                  _huge_integer_entry, _huge_integer_params])
 def test_sample_rejects_malformed_gate(tmp_path, capsys, edit):
     pub_path, _ = gen_conditioned(tmp_path, n=4, seed=93)
     bad = tampered(pub_path, tmp_path / "bad.public.json", edit)
@@ -624,6 +634,11 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
         ("n=0", ["stats", "--n", 0, "--instances", 1, "--iters", 1]),
         *[("tolerance", ["verify", "--private", priv_path, "--shots", shots, "--tolerance", tol])
           for tol in ("-1", "nan", "inf")],
+        *[("delta", ["gen", "--method", "postselect", "--n", 2, "--delta", delta, "--seed", 1,
+                     "--out-prefix", prefix]) for delta in ("1.5", "-0.1", "nan")],
+        ("delta", ["gen", "--method", "variational", "--n", 3, "--delta", 1.5, "--seed", 1,
+                   "--out-prefix", prefix]),
+        ("'10'", ["gen", "--method", "postselect", "--n", 3, "--x-star", "10", "--seed", 1, "--out-prefix", prefix]),
     ]
     capsys.readouterr()
     for code, argv, *names in cases + [(2, argv, name) for name, argv in named]:

@@ -21,7 +21,17 @@ from peakedqc.ensembles import (
     postselect_generate,
     random_brickwall,
 )
-from peakedqc.sim import Circuit, Gate, StructureError, full_unitary
+from peakedqc.sim import (
+    Brickwall,
+    Circuit,
+    Gate,
+    StructureError,
+    adjoint,
+    apply_circuit,
+    brickwall_pairs,
+    compose,
+    full_unitary,
+)
 
 
 def test_haar_unitary_is_unitary():
@@ -62,6 +72,75 @@ def test_brickwall_patterns():
     # direct enumeration: alternating 3- and 2-gate layers
     assert len(c6.gates) == 3 + 2 + 3 + 2 + 3 + 2
     assert c6.architecture.depth == 6
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 16])
+def test_haar_stack_equals_single_draws(batch):
+    for seed in range(20):
+        stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stack = haar_unitary(4, stacked_rng, batch=batch)
+        singles = [haar_unitary(4, single_rng) for _ in range(batch)]
+        assert stack.shape == (batch, 4, 4)
+        assert all(np.array_equal(m, u) for m, u in zip(stack, singles))
+        assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_haar_stack_refuses_negative_batch():
+    with pytest.raises(ValueError, match="batch"):
+        haar_unitary(4, seed=0, batch=-1)
+
+
+def _reference_brickwall(n, depth, rng):
+    """One single Haar draw per gate, in gate order."""
+    return Circuit(n, [Gate(pair, haar_unitary(4, rng)) for pair in brickwall_pairs(n, depth)],
+                   architecture=Brickwall(depth))
+
+
+def _same_gates(a, b):
+    return len(a.gates) == len(b.gates) and all(
+        g.wires == h.wires and np.array_equal(g.matrix, h.matrix) for g, h in zip(a.gates, b.gates))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 20])
+def test_random_brickwall_matches_per_gate_draws(n):
+    for seed in range(5):
+        circ = random_brickwall(n, n, seed=seed)
+        assert circ.architecture.depth == n
+        assert _same_gates(circ, _reference_brickwall(n, n, np.random.default_rng(seed)))
+
+
+def _reference_postselect(n, delta, x_star, max_trials, seed, depth):
+    """The rejection loop drawn gate by gate: ``(trials, peakedness, P)``, or None if exhausted."""
+    rng = np.random.default_rng(seed)
+    c = _reference_brickwall(n, depth, rng)
+    target = apply_circuit("0" * n, c)
+    for trial in range(1, max_trials + 1):
+        c_prime = _reference_brickwall(n, depth, rng)
+        peak = abs(np.vdot(apply_circuit(x_star, c_prime), target)) ** 2
+        if peak >= delta:
+            return trial, float(peak), compose(adjoint(c_prime), c)
+    return None
+
+
+@pytest.mark.parametrize("n,delta,depth", [(3, 0.1, 16), (2, 0.3, 1)])
+@pytest.mark.parametrize("max_trials", [1, 5])
+def test_postselect_matches_per_trial_reference(n, delta, depth, max_trials):
+    outcomes = set()
+    for seed in range(200):
+        x_star = format(seed % (1 << n), f"0{n}b")
+        ref = _reference_postselect(n, delta, x_star, max_trials, seed, depth)
+        try:
+            inst, trials = postselect_generate(n, delta, x_star=x_star, max_trials=max_trials,
+                                               seed=seed, depth=depth)
+        except PostselectExhausted:
+            assert ref is None, seed
+            outcomes.add(False)
+            continue
+        assert ref is not None, seed
+        outcomes.add(True)
+        assert (trials, inst.peakedness) == ref[:2], seed
+        assert _same_gates(inst.circuit, ref[2]), seed
+    assert outcomes == {True, False}  # both branches were compared
 
 
 def test_postselect_accepts_delta_zero():
