@@ -182,7 +182,7 @@ def cmd_gen(args) -> int:
             )
         print(f"postselect: accepted after {trials} trials, peakedness {inst.peakedness:.6f}")
     elif args.method == "variational":
-        depth = args.depth or args.n
+        depth = args.n if args.depth is None else args.depth
         target = random_brickwall(args.n, depth, rng)
         inst, report = synth_mod.multistart_search(
             target, x_star=args.x_star, delta_target=args.delta,
@@ -316,7 +316,7 @@ def cmd_stats(args) -> int:
         raise StructureError(f"--n must be at most N_MAX_DENSE={N_MAX_DENSE}, got {max(args.n)}")
     rows = []
     for n in args.n:
-        depth = args.depth or n
+        depth = n if args.depth is None else args.depth
         trace_vals = []
         for i in range(args.instances):
             seed = (args.seed or 0) * 1_000_003 + 7919 * n + i

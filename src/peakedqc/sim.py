@@ -17,7 +17,9 @@ Conventions used throughout the package:
 Every gate goes through :func:`_apply_matrix`, which views the buffer as
 ``(L, D, R)`` for contiguous ascending wires and folds ``R`` into the
 matrix when ``L > 1`` and ``D * R <= FOLD_UPTO``; circuit passes alternate
-between two buffers.  Passes over buffers of at least ``FUSE_FROM``
+between two buffers.  It also takes a ``(B, D, D)`` matrix stack against a
+buffer with a leading length-B axis, which is how ``synth`` steps the
+starts of a search together.  Passes over buffers of at least ``FUSE_FROM``
 entries first :func:`fuse` the gates into blocks over at most
 ``FUSE_WIDTH`` contiguous wires, so each block reads and writes the buffer
 once.  A pass from a basis state named by a bit string (:func:`apply_circuit`
@@ -32,6 +34,7 @@ unitaries, ``N_MAX_STATEVECTOR`` statevectors; past either, a
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -44,6 +47,8 @@ N_MAX_DENSE = 12  # a 2^12 x 2^12 complex128 matrix is ~268 MB
 N_MAX_STATEVECTOR = 22  # two 2^22 complex128 buffers are 128 MB
 # measured in BENCH_gate_fusion.json
 FOLD_UPTO = 32  # fold the trailing extent R into a D x D matrix while D * R is at most this
+# measured in BENCH_batched_starts.json
+STACK_FOLD_UPTO = 16  # the same for a stack of matrices, which pays for the fold B times
 FUSE_WIDTH = 5  # fused blocks span at most this many contiguous wires
 FUSE_FROM = 1 << 14  # fuse the passes over buffers of at least this many entries
 
@@ -86,10 +91,10 @@ SU4_BASIS = two_qubit_pauli_basis()
 
 
 def su4_gates(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``exp(-i sum_k params[g, k] P_k)`` per row of a ``(G, 15)`` stack, with its eigh factors."""
-    h = np.einsum("gm,mij->gij", params, SU4_BASIS)
+    """``exp(-i sum_k params[..., k] P_k)`` per 15-row of a ``(..., 15)`` stack, with its eigh factors."""
+    h = (params @ SU4_BASIS.reshape(15, 16)).reshape(params.shape[:-1] + (4, 4))
     w, q = np.linalg.eigh(h)
-    mats = np.einsum("gik,gk,gjk->gij", q, np.exp(-1j * w), q.conj())
+    mats = np.einsum("...ik,...k,...jk->...ij", q, np.exp(-1j * w), q.conj())
     return mats, w, q
 
 
@@ -137,7 +142,7 @@ class Gate:
     def dagger(self) -> "Gate":
         if self.params is not None:  # exp(-iH)^dagger = exp(-i(-H)), so the coefficients survive
             return Gate.from_params(self.wires, -self.params)
-        return Gate(self.wires, self.matrix.conj().T)
+        return Gate(self.wires, np.conjugate(self.matrix.T))  # one array, F-ordered
 
 
 @dataclass(frozen=True)
@@ -252,19 +257,54 @@ def _apply_matrix(tensor: np.ndarray, wires: tuple[int, ...], matrix: np.ndarray
     ``(L, D, R)``: one GEMM ``(L, D*R) @ (M (x) I_R)^T`` if ``L > 1`` and
     the folded matrix's side ``D*R`` is at most ``FOLD_UPTO``, else one
     stacked ``matmul``.  Other wire tuples go through ``moveaxis``.
+
+    A ``(B, D, D)`` stack applies matrix ``b`` to ``tensor[b]``: the buffers
+    then lead with a length-B axis and ``wires`` count the axes after it.  The
+    views are ``(B, L, D, R)``: folded as above while ``D*R`` is at most
+    ``STACK_FOLD_UPTO``, else one broadcast ``matmul`` if ``L <= R``, else the
+    wire axes are copied to the front (:func:`_wires_first`) for one
+    ``(B, D, D) @ (B, D, L*R)`` GEMM, as are other wire tuples.
     """
     out = tensor if out is None else out
     k, first, dim = len(wires), wires[0], 1 << len(wires)
-    if wires != tuple(range(first, first + k)):
+    contiguous = wires == tuple(range(first, first + k))
+    if matrix.ndim == 3:
+        stack, left, right = len(matrix), 1 << first, tensor[0].size >> (first + k)
+        if contiguous and left > 1 and dim * right <= STACK_FOLD_UPTO:
+            folded = matrix.transpose(0, 2, 1)[:, :, None, :, None] * _eye(right)[:, None, :]
+            np.matmul(tensor.reshape(stack, left, -1), folded.reshape(stack, dim * right, -1),
+                      out=out.reshape(stack, left, -1))
+        elif contiguous and left <= right:
+            shape = (stack, left, dim, right)
+            np.matmul(matrix[:, None], tensor.reshape(shape), out=out.reshape(shape))
+        else:
+            moved = _wires_first(tensor, wires)
+            _wires_first(out, wires)[...] = (matrix @ moved.reshape(stack, dim, -1)).reshape(moved.shape)
+        return
+    if not contiguous:
         moved = np.moveaxis(tensor, wires, range(k))
         np.moveaxis(out, wires, range(k))[...] = (matrix @ moved.reshape(dim, -1)).reshape(moved.shape)
         return
     left, right = 1 << first, tensor.size >> (first + k)
     if left > 1 and dim * right <= FOLD_UPTO:
-        folded = (matrix.T[:, None, :, None] * np.eye(right)[None, :, None, :]).reshape(dim * right, -1)
+        folded = (matrix.T[:, None, :, None] * _eye(right)[None, :, None, :]).reshape(dim * right, -1)
         np.matmul(tensor.reshape(left, -1), folded, out=out.reshape(left, -1))
     else:
         np.matmul(matrix, tensor.reshape(left, dim, right), out=out.reshape(left, dim, right))
+
+
+def _wires_first(tensor: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
+    """View of a stacked buffer ``(B, 2, ..., 2)`` with the ``wires`` axes right after the
+    stack axis: ``(B, D, L, R)`` for contiguous ascending wires, else ``(B, 2, ..., 2)``.
+    ``.reshape(B, D, -1)`` of it is the ``(B, D, rest)`` matrix stack that gate and
+    environment GEMMs take."""
+    k, first = len(wires), wires[0]
+    if wires == tuple(range(first, first + k)):
+        return tensor.reshape(len(tensor), 1 << first, 1 << k, -1).swapaxes(1, 2)
+    return np.moveaxis(tensor, [w + 1 for w in wires], range(1, k + 1))
+
+
+_eye = functools.cache(np.eye)  # the folds' identities, built once per size
 
 
 def _embed(matrix: np.ndarray, small: tuple[int, ...], big: tuple[int, ...],

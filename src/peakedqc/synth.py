@@ -8,6 +8,9 @@ two statevector passes and maximized with Adam. Gradients are exact, not
 finite differences: an adjoint sweep undoes each gate on the forward state,
 and the eigenbasis form of the exponential-map derivative turns each gate's
 4x4 environment into its 15 derivatives through one 15x16 Pauli-trace map.
+The starts of a multi-start search are stepped as one batch: each gate is
+one ``_apply_matrix`` call on a ``(B, 4, 4)`` stack, one row per start that
+is still running, and a start leaves the batch when it stops.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from .sim import (
     SU4_BASIS,
     StructureError,
     _apply_matrix,
+    _wires_first,
     adjoint,
     amplitude,
     apply_circuit,
@@ -72,46 +76,58 @@ class ParamCircuit:
 _PAULI_TRACE = SU4_BASIS.transpose(0, 2, 1).reshape(15, 16)
 
 
-def _value_and_grad(c_state: np.ndarray, pcirc: ParamCircuit, x_star_state: np.ndarray):
-    """``p0`` and its exact gradient for the current parameters.
+def _value_and_grad(c_state: np.ndarray, start_state: np.ndarray,
+                    pairs: list[tuple[int, int]], params: np.ndarray):
+    """``p0`` and its exact gradient for each row of a ``(B, G, 15)`` params stack.
 
+    Returns the B values and the ``(B, G, 15)`` gradient; B = 1 is one start.
     Writes the overlap as beta = <c|C'(theta)|x*>. After one forward pass on
-    a copy of |x*>, the backward sweep undoes each gate on that state while
+    copies of |x*>, the backward sweep undoes each gate on those states while
     pulling <c| back through it (Jones & Gacon, arXiv:2009.02823), so gate
-    j's environment env[p, q] = sum_rest conj(lam)[p] psi[q] needs two states.
+    j's environment env[p, q] = sum_rest conj(lam)[p] psi[q] needs two states
+    per start.  Every gate acts on all B starts in one ``_apply_matrix`` call,
+    and in the sweep on the 2B states [psi, lam] at once; the environments
+    are one ``(B, 4, rest) @ (B, rest, 4)`` GEMM over ``_wires_first`` views.
     Daleckii-Krein: with H = Q diag(w) Q^dag and f(x) = exp(-ix), the
     derivative of exp(-iH) along E is Q (F * (Q^dag E Q)) Q^dag with
     F_kl = (f(w_k) - f(w_l)) / (w_k - w_l) and diagonal f'(w_k). So
     d beta / d theta_m = Tr(A P_m) with A = Q (F * (Q^dag env^T Q)) Q^dag,
     and p0 = |beta|^2, grad p0 = 2 Re(conj(beta) grad beta).
     """
-    n = pcirc.n
-    mats, w, q = su4_gates(pcirc.params)
-    psi = x_star_state.reshape((2,) * n).copy()
-    for pair, mat in zip(pcirc.pairs, mats):
-        _apply_matrix(psi, pair, mat)
-    beta = np.vdot(c_state, psi)
+    starts, n = len(params), c_state.size.bit_length() - 1
+    mats, w, q = su4_gates(params)
+    mats = mats.swapaxes(0, 1).copy()  # (G, B, 4, 4): one stack per gate
+    undo = np.conj(np.concatenate([mats, mats], axis=1).swapaxes(-1, -2))  # for psi and lam
+    src = np.empty((2 * starts,) + (2,) * n, dtype=complex)
+    dst = np.empty_like(src)
+    src[:starts] = start_state.reshape((2,) * n)
+    for pair, mat in zip(pairs, mats):
+        _apply_matrix(src[:starts], pair, mat, out=dst[:starts])
+        src, dst = dst, src
+    beta = src[:starts].reshape(starts, -1) @ c_state.conj()
 
-    envs = np.empty((len(pcirc.pairs), 4, 4), dtype=complex)
-    lam = c_state.reshape((2,) * n).copy()
-    for j in range(len(pcirc.pairs) - 1, -1, -1):
-        pair, undo = pcirc.pairs[j], mats[j].conj().T
-        _apply_matrix(psi, pair, undo)
-        rest = [k for k in range(n) if k not in pair]
-        # pairs are ascending, so the axes left are (p_0, p_1, q_0, q_1)
-        envs[j] = np.tensordot(lam.conj(), psi, (rest, rest)).reshape(4, 4)
-        _apply_matrix(lam, pair, undo)
+    envs = np.empty((len(pairs), starts, 4, 4), dtype=complex)
+    src[starts:] = c_state.reshape((2,) * n)
+    for j in range(len(pairs) - 1, -1, -1):
+        # src holds [psi, lam] after gate j; dst gets them before it
+        _apply_matrix(src, pairs[j], undo[j], out=dst)
+        lam, psi = _wires_first(src[starts:], pairs[j]), _wires_first(dst[:starts], pairs[j])
+        np.matmul(np.conj(lam, order="C").reshape(starts, 4, -1),
+                  psi.reshape(starts, 4, -1).swapaxes(1, 2), out=envs[j])
+        src, dst = dst, src
+    envs = envs.swapaxes(0, 1)
 
     f = np.exp(-1j * w)
-    dw = w[:, :, None] - w[:, None, :]
+    dw = w[..., :, None] - w[..., None, :]
     near = np.abs(dw) < 1e-12
     fmat = np.where(
-        near, (-1j * f)[:, :, None], (f[:, :, None] - f[:, None, :]) / np.where(near, 1.0, dw)
+        near, (-1j * f)[..., :, None], (f[..., :, None] - f[..., None, :]) / np.where(near, 1.0, dw)
     )
-    qh = q.conj().transpose(0, 2, 1)
-    a = q @ (fmat * (qh @ envs.transpose(0, 2, 1) @ q)) @ qh
-    grad = 2.0 * np.real(np.conj(beta) * (a.reshape(-1, 16) @ _PAULI_TRACE.T))
-    return float(abs(beta) ** 2), grad
+    qh = q.conj().swapaxes(-1, -2)
+    a = q @ (fmat * (qh @ envs.swapaxes(-1, -2) @ q)) @ qh
+    grad = a.reshape(starts, len(pairs), 16) @ _PAULI_TRACE.T
+    grad = 2.0 * np.real(np.conj(beta)[:, None, None] * grad)
+    return np.abs(beta) ** 2, grad
 
 
 def _target_column(target: Circuit) -> np.ndarray:
@@ -130,7 +146,7 @@ def gradient(target: Circuit, pcirc: ParamCircuit, x_star: str | None = None) ->
     """Exact adjoint gradient of the objective, same shape as the params."""
     x_star = "0" * target.n if x_star is None else x_star
     start = basis_state(target.n, x_star)
-    return _value_and_grad(_target_column(target), pcirc, start)[1]
+    return _value_and_grad(_target_column(target), start, pcirc.pairs, pcirc.params[None])[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +216,13 @@ def multistart_search(
 ) -> tuple[PeakedInstance, SynthesisReport]:
     """Run Adam from several random initializations and keep the best point.
 
-    A seed stops early once ``p0 >= delta_target``.  The winner is the
-    highest objective value ever recorded (ties go to the lowest seed
-    index) and is re-verified by simulating the composed circuit.  When no
-    seed reaches the target the best point is still returned, flagged.
+    Seed ``s`` starts from its own spawn child of ``seed`` and keeps its own
+    Adam moments and history.  All seeds are stepped together, one batched
+    ``_value_and_grad`` per step, and each stops on its own, once ``p0 >=
+    delta_target`` or after ``iters`` steps; a stopped seed leaves the batch.
+    The winner is the highest objective value ever recorded (ties go to the
+    lowest seed index) and is re-verified by simulating the composed circuit.
+    When no seed reaches the target the best point is still returned, flagged.
     """
     if n_seeds < 1 or iters < 1:
         raise ValueError("need n_seeds >= 1 and iters >= 1")
@@ -219,27 +238,32 @@ def multistart_search(
     c_state = _target_column(target)
     start_state = basis_state(target.n, x_star)
 
-    best_p0 = -1.0
-    best_theta = None
-    best_seed = -1
-    traces = []
-    for s, rng in enumerate(spawn_rngs(seed, n_seeds)):
-        pcirc = ParamCircuit.random(target.n, depth, rng, scale=init_scale)
-        state = AdamState.zeros(pcirc.params.shape)
-        history = []
-        steps_run = 0
-        for t in range(iters + 1):
-            p0, grad = _value_and_grad(c_state, pcirc, start_state)
+    pairs = brickwall_pairs(target.n, depth)
+    theta = np.stack([ParamCircuit.random(target.n, depth, rng, scale=init_scale).params
+                      for rng in spawn_rngs(seed, n_seeds)])
+    state = AdamState.zeros(theta.shape)  # one row of moments per start; starts step in lockstep
+    active = list(range(n_seeds))
+    histories = [[] for _ in active]
+    steps_run = [0] * n_seeds
+    best_p0, best_seed, best_theta = -1.0, -1, None
+    for t in range(iters + 1):
+        p0s, grad = _value_and_grad(c_state, start_state, pairs, theta)
+        going = []
+        for row, (s, p0) in enumerate(zip(active, p0s.tolist())):
             if t % history_stride == 0 or t == iters or p0 >= delta_target:
-                history.append((t, p0))
-            if p0 > best_p0:
-                best_p0, best_theta, best_seed = p0, pcirc.params.copy(), s
-            steps_run = t
-            if p0 >= delta_target or t == iters:
-                break
-            # ascent on p0 = descent on the loss -p0
-            pcirc.params, state = adam_step(pcirc.params, -grad, state, AdamParams())
-        traces.append(SeedTrace(s, steps_run, history))
+                histories[s].append((t, p0))
+            if p0 > best_p0 or p0 == best_p0 and s < best_seed:
+                best_p0, best_seed, best_theta = p0, s, theta[row].copy()
+            steps_run[s] = t
+            if p0 < delta_target and t < iters:
+                going.append(row)
+        if not going:
+            break
+        active = [active[row] for row in going]
+        state = AdamState(state.m[going], state.v[going], state.step)
+        # ascent on p0 = descent on the loss -p0
+        theta, state = adam_step(theta[going], -grad[going], state, AdamParams())
+    traces = [SeedTrace(s, steps_run[s], histories[s]) for s in range(n_seeds)]
 
     winner = ParamCircuit(target.n, depth, best_theta)
     c_prime = winner.materialize()

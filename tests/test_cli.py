@@ -638,6 +638,9 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
                      "--out-prefix", prefix]) for delta in ("1.5", "-0.1", "nan")],
         ("delta", ["gen", "--method", "variational", "--n", 3, "--delta", 1.5, "--seed", 1,
                    "--out-prefix", prefix]),
+        ("depth", ["gen", "--method", "variational", "--n", 3, "--depth", 0, "--seed", 1,
+                   "--out-prefix", prefix]),
+        ("depth", ["stats", "--n", 3, "--depth", 0, "--instances", 1, "--iters", 1]),
         ("'10'", ["gen", "--method", "postselect", "--n", 3, "--x-star", "10", "--seed", 1, "--out-prefix", prefix]),
     ]
     capsys.readouterr()
@@ -649,6 +652,24 @@ def test_out_of_range_arguments_exit_with_one_line(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "s.txt").exists()
     assert not list(tmp_path.glob("none*"))
     assert 13 not in searched  # stats past N_MAX_DENSE stops before it synthesises
+
+
+@pytest.mark.parametrize("n, depth, delta, stops", [(8, 8, 0.9, (109, 110)), (10, 10, 0.6, (71, 69))])
+def test_variational_histories_keep_their_stopping_steps(tmp_path, n, depth, delta, stops):
+    # the two variational settings of the benchmark's generate workload: each
+    # start logs one row per step from 0 until it reaches delta, on its own
+    history = tmp_path / "h.csv"
+    assert run_cli("gen", "--method", "variational", "--n", n, "--depth", depth, "--delta", delta,
+                   "--seeds", 2, "--iters", 2000, "--seed", 1, "--out-prefix", tmp_path / "v",
+                   "--history-out", history) == 0
+    lines = history.read_text().splitlines()
+    assert lines[0] == "seed,iter,p0" and len(lines) == 1 + sum(stop + 1 for stop in stops)
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(int(s), int(it)) for s, it, _ in rows] == [(s, it) for s, stop in enumerate(stops)
+                                                        for it in range(stop + 1)]
+    for s, stop in enumerate(stops):
+        p0 = [float(p) for seed, _, p in rows if int(seed) == s]
+        assert max(p0[:-1]) < delta <= p0[-1]
 
 
 def test_conditioned_gen_past_dense_cap_exits_before_allocating(tmp_path):

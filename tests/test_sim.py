@@ -155,6 +155,22 @@ def test_apply_circuit_matches_einsum_reference(n, wires):
     assert np.abs(direct - ref.ravel()).max() < 1e-12
 
 
+@pytest.mark.parametrize("stack", [1, 3])
+@pytest.mark.parametrize("n, wires", [(n, w) for n in (5, 14) for w in _layouts(n) if len(w) <= 12])
+def test_matrix_stack_matches_einsum_reference(n, wires, stack):
+    # a (B, D, D) stack applies matrix b to state b, into a spare buffer and in place
+    rng = np.random.default_rng(n * 100 + sum(wires) + stack)
+    dim = 1 << len(wires)
+    mats = rng.standard_normal((stack, dim, dim)) + 1j * rng.standard_normal((stack, dim, dim))
+    states = rng.standard_normal((stack,) + (2,) * n) + 1j * rng.standard_normal((stack,) + (2,) * n)
+    ref = np.stack([einsum_apply(states[b], wires, mats[b]) for b in range(stack)])
+    out = np.empty_like(states)
+    sim._apply_matrix(states, wires, mats, out=out)
+    assert np.abs(out - ref).max() < 1e-12 * np.abs(ref).max()
+    sim._apply_matrix(states, wires, mats)
+    assert np.array_equal(states, out)
+
+
 @pytest.mark.parametrize("wires", _layouts(5))
 def test_full_unitary_matches_einsum_reference(wires):
     circ = _kernel_circuit(5, wires, seed=sum(wires))

@@ -6,7 +6,7 @@ import pytest
 
 from peakedqc import synth
 from peakedqc.ensembles import hs_overlap, random_brickwall
-from peakedqc.sim import Circuit, Gate, adjoint, amplitude, compose
+from peakedqc.sim import Circuit, Gate, adjoint, amplitude, basis_state, compose, spawn_rngs
 from peakedqc.synth import (
     AdamParams,
     AdamState,
@@ -69,6 +69,22 @@ def test_gradient_matches_finite_differences(n, depth, x_star):
         minus.params[i, j] -= h
         fd = (objective(target, plus, x_star) - objective(target, minus, x_star)) / (2 * h)
         assert abs(fd - g[i, j]) / abs(g[i, j]) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_batched_step_equals_separate_steps(n):
+    # n = 2 is the one-gate ansatz
+    rng = np.random.default_rng(20 + n)
+    target = random_brickwall(n, n, seed=rng)
+    stack = np.stack([ParamCircuit.random(n, n, rng, scale=0.4).params for _ in range(3)])
+    c_state, start = synth._target_column(target), basis_state(n, "1" * n)
+    pairs = ParamCircuit.zeros(n, n).pairs
+    values, grads = synth._value_and_grad(c_state, start, pairs, stack)
+    assert values.shape == (3,) and grads.shape == stack.shape
+    for b in range(3):
+        value, grad = synth._value_and_grad(c_state, start, pairs, stack[b:b + 1])
+        assert abs(values[b] - value[0]) <= 1e-12 * value[0]
+        assert np.abs(grads[b] - grad[0]).max() <= 1e-12 * np.abs(grad[0]).max()
 
 
 def test_adam_zero_gradient_fixed_point():
@@ -138,6 +154,26 @@ def test_multistart_deterministic():
     assert np.array_equal(a[1].best_params, b[1].best_params)
     assert a[1].best_peakedness == b[1].best_peakedness
     assert [t.history for t in a[1].per_seed_traces] == [t.history for t in b[1].per_seed_traces]
+
+
+def test_batched_starts_match_one_start_reference_loops():
+    # the three starts stop at steps 17 (the iteration cap), 16 and 12; each
+    # history is replayed by a one-start loop from the same spawn child
+    n, depth, delta, iters, seed = 4, 4, 0.95, 17, 41
+    target = random_brickwall(n, depth, seed=31)
+    _, report = multistart_search(target, delta_target=delta, n_seeds=3, iters=iters, seed=seed)
+    assert [t.iterations for t in report.per_seed_traces] == [17, 16, 12]
+    for trace, rng in zip(report.per_seed_traces, spawn_rngs(seed, 3)):
+        pc, history = ParamCircuit.random(n, depth, rng), []
+        state = AdamState.zeros(pc.params.shape)
+        for t in range(iters + 1):
+            p0 = objective(target, pc)
+            history.append((t, p0))
+            if p0 >= delta or t == iters:
+                break
+            pc.params, state = adam_step(pc.params, -gradient(target, pc), state, AdamParams())
+        assert [it for it, _ in trace.history] == [it for it, _ in history]
+        assert all(abs(a - b) <= 1e-9 * b for (_, a), (_, b) in zip(trace.history, history))
 
 
 def test_best_peakedness_nondecreasing_in_iters():
